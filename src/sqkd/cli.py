@@ -3,11 +3,10 @@
 Exit codes: 0 success / no violation, 1 a bound violation was found,
 2 input error.  Identical (command, flags, seed) invocations produce
 byte-identical output; no timestamps or machine state enter any
-document.  SQKD_THREADS caps parallel trial evaluation (default 1).
+document.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -18,7 +17,6 @@ from . import __version__
 from .attacks import FAMILIES, named_attack, parameterized_attack
 from .eavesdropper import OptimizerConfig, accessible_information, holevo_bound
 from .povm import basis_povm
-from .protocol import joint_distribution, sift_branch
 from .serialize import (
     attack_to_dict,
     parse_attack_file,
@@ -27,7 +25,7 @@ from .serialize import (
     report_to_dict,
     write_document,
 )
-from .suites import SUITE_NAMES, parallel_map, run_suite
+from .suites import SUITE_NAMES, run_suite
 from .tradeoff import verify_tradeoff
 
 NAMED_ATTACKS = ("identity", "forward-cnot", "return-cz")
@@ -36,14 +34,6 @@ SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
 
 def _versions() -> dict:
     return {"sqkd": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def _threads() -> int:
-    raw = os.environ.get("SQKD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValueError(f"SQKD_THREADS must be an integer, got {raw!r}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -90,26 +80,26 @@ def _resolve_attack(args) -> tuple:
     return family.build([value]), {"family": family.name, "theta": value}
 
 
-def _holevo_reference(attack) -> float:
-    out = sift_branch(attack)
-    return holevo_bound(out.rho_eve[0], out.rho_eve[1], out.p_a)
+def _report_body(report, found) -> tuple[dict, list | None]:
+    """A document's "report" section and, unless the POVM optimizer result `found`
+    is None, Eve's information interval: `found.info` up to the Holevo ceiling."""
+    body = report_to_dict(report)
+    sift = report.sift
+    body["p_a"] = sift.p_a.tolist()
+    body["joint"] = report.joint.tolist()
+    if found is None:
+        return body, None
+    return body, [found.info, holevo_bound(sift.rho_eve[0], sift.rho_eve[1], sift.p_a)]
 
 
 def _resolve_povm(source: str, attack, args):
-    """POVM from a named basis, a file, or the optimizer."""
+    """POVM from a named basis, a file, or the optimizer (with its result)."""
     if source in ("z", "x"):
         return basis_povm(attack.ancilla_dim, source), source, None
     if source == "optimize":
         cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        result = accessible_information(attack, cfg)
-        stats = {
-            "converged": result.converged,
-            "restart_values": [float(v) for v in result.restart_values],
-            # Eve's information reported as an interval: best POVM found
-            # up to the Holevo ceiling of her conditional states
-            "info_interval": [result.info, _holevo_reference(attack)],
-        }
-        return result.povm, "optimize", stats
+        found = accessible_information(attack, cfg)
+        return found.povm, "optimize", found
     if Path(source).exists():
         return parse_povm_file(source), {"file": source}, None
     raise ValueError(f"--povm {source!r} is not 'z', 'x', 'optimize', or an existing file")
@@ -117,11 +107,9 @@ def _resolve_povm(source: str, attack, args):
 
 def cmd_run(args) -> int:
     attack, attack_source = _resolve_attack(args)
-    eve_povm, povm_source, optimizer_stats = _resolve_povm(args.povm, attack, args)
+    eve_povm, povm_source, found = _resolve_povm(args.povm, attack, args)
     report = verify_tradeoff(attack, eve_povm)
-    body = report_to_dict(report)
-    body["p_a"] = sift_branch(attack).p_a.tolist()
-    body["joint"] = joint_distribution(attack, eve_povm).tolist()
+    body, info_interval = _report_body(report, found)
     doc = {
         "command": "run",
         "versions": _versions(),
@@ -132,28 +120,26 @@ def cmd_run(args) -> int:
         "povm": povm_to_dict(eve_povm),
         "report": body,
     }
-    if optimizer_stats is not None:
-        doc["optimizer"] = optimizer_stats
+    if found is not None:
+        doc["optimizer"] = {
+            "converged": found.converged,
+            "restart_values": [float(v) for v in found.restart_values],
+            "info_interval": info_interval,
+        }
     text = write_document(doc, args.out)
     if args.out is None:
         sys.stdout.write(text)
     return 0 if report.holds else 1
 
 
-def _sweep_rows(args, thetas, threads: int) -> list[str]:
-    family = FAMILIES[args.family]
-
-    def one_point(i: int) -> str:
-        theta = float(thetas[i])
-        attack = family.build([theta])
-        eve_povm, _, _ = _resolve_povm(args.povm, attack, args)
-        rep = verify_tradeoff(attack, eve_povm)
-        cells = [family.name, _fmt(theta), _fmt(rep.p_ctrl), _fmt(rep.p_sift),
-                 _fmt(rep.info), _fmt(rep.rhs), _fmt(rep.gap),
-                 "true" if rep.holds else "false"]
-        return ",".join(cells)
-
-    return parallel_map(one_point, len(thetas), threads)
+def _sweep_row(args, family, theta: float) -> str:
+    attack = family.build([theta])
+    eve_povm, _, _ = _resolve_povm(args.povm, attack, args)
+    rep = verify_tradeoff(attack, eve_povm)
+    cells = [family.name, _fmt(theta), _fmt(rep.p_ctrl), _fmt(rep.p_sift),
+             _fmt(rep.info), _fmt(rep.rhs), _fmt(rep.gap),
+             "true" if rep.holds else "false"]
+    return ",".join(cells)
 
 
 def cmd_sweep(args) -> int:
@@ -164,7 +150,7 @@ def cmd_sweep(args) -> int:
     key, thetas = _parse_param_grid(args.param)
     if key != "theta":
         raise ValueError(f"family {args.family} has no parameter {key!r}")
-    rows = _sweep_rows(args, thetas, _threads())
+    rows = [_sweep_row(args, FAMILIES[args.family], float(theta)) for theta in thetas]
     text = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -181,6 +167,8 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"--ancilla-dim must be in [1, 6], got {d}")
     if args.objective not in ("max-gap", "max-info"):
         raise ValueError(f"--objective must be 'max-gap' or 'max-info', got {args.objective!r}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     n_params = 2 * (2 * d) ** 2
     outer_seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
 
@@ -216,9 +204,7 @@ def cmd_optimize(args) -> int:
     final_cfg = OptimizerConfig(restarts=max(8, args.restarts), seed=args.seed)
     final = accessible_information(best_attack, final_cfg)
     report = verify_tradeoff(best_attack, final.povm)
-    body = report_to_dict(report)
-    body["p_a"] = sift_branch(best_attack).p_a.tolist()
-    body["joint"] = joint_distribution(best_attack, final.povm).tolist()
+    body, info_interval = _report_body(report, final)
     doc = {
         "command": "optimize",
         "versions": _versions(),
@@ -231,7 +217,7 @@ def cmd_optimize(args) -> int:
         "best_objective": best_score,
         "restart_objectives": restart_stats,
         "info_rhs_ratio": report.info / report.rhs if report.rhs > 1e-15 else 0.0,
-        "info_interval": [final.info, _holevo_reference(best_attack)],
+        "info_interval": info_interval,
         "attack": attack_to_dict(best_attack),
         "povm": povm_to_dict(final.povm),
         "report": body,
@@ -243,7 +229,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    result = run_suite(args.suite, args.trials, args.seed, threads=_threads())
+    result = run_suite(args.suite, args.trials, args.seed)
     summary = {
         "command": "verify",
         "versions": _versions(),

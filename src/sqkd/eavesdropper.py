@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .info import shannon_entropy, von_neumann_entropy
+from .info import mutual_information, shannon_entropy, von_neumann_entropy
 from .povm import FACTOR_SINGULAR_TOL, Povm, povm_from_factors
-from .protocol import AttackModel, eve_information, sift_branch
+from .protocol import AttackModel, _evaluate, _joint_table
 
 
 @dataclass
@@ -91,14 +91,13 @@ def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = No
     """
     cfg = cfg or OptimizerConfig()
     cfg.validate()
-    attack.validate()
+    ev = _evaluate(attack)
     d = attack.ancilla_dim
     m = cfg.outcome_count or max(2, d * d)
     block = 2 * d * d
 
-    sift = sift_branch(attack)
     # weighted conditional states: tr(w_z E_e) = p_a(z) tr(rho_z E_e)
-    weighted_t = np.stack([(sift.p_a[z] * sift.rho_eve[z]).T for z in (0, 1)])
+    weighted_t = np.stack([(ev.sift.p_a[z] * ev.sift.rho_eve[z]).T for z in (0, 1)])
 
     def negated_info(x: np.ndarray) -> float:
         factors = np.stack(_factors_from_vector(x, d, m))
@@ -162,7 +161,7 @@ def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = No
 
     best_povm = povm_from_factors(_factors_from_vector(best_x, d, m))
     # the reported value always comes from the full dual-route evaluation
-    achieved = eve_information(attack, best_povm)
+    achieved = mutual_information(_joint_table(ev, best_povm))
     return AccessibleInfoResult(
         info=achieved,
         povm=best_povm,

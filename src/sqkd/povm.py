@@ -19,8 +19,9 @@ class DegeneracyError(ValueError):
 class Povm:
     """A finite POVM {E_e} on the ancilla: positive operators summing to 1_K.
 
-    Each element acts on K only; protocol code lifts it to 1_H (x) E_e on
-    the joint space.
+    Each element acts on K only.  On the joint space it acts as
+    1_H (x) E_e: the protocol code applies E_e to each qubit block of a
+    joint vector.
     """
 
     elements: tuple
@@ -52,11 +53,6 @@ class Povm:
         dev = float(np.max(np.abs(total - np.eye(d))))
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"POVM elements sum to identity only within {dev:.3e} (> {COMPLETENESS_TOL})")
-
-    def lifted(self) -> list:
-        """Elements lifted to the joint space as 1_H (x) E_e."""
-        eye2 = np.eye(2, dtype=complex)
-        return [linalg.tensor(eye2, e) for e in self.elements]
 
 
 def povm_from_factors(factors) -> Povm:

@@ -71,10 +71,106 @@ def _qubit_blocks(vec: np.ndarray, d: int):
     return vec[:d], vec[d:]
 
 
+def _lifted_expectation(blocks, element: np.ndarray) -> float:
+    """<v| 1_H (x) E |v>, clamped at 0, from the nonzero qubit blocks of v."""
+    return max(float(np.real(sum(np.vdot(b, element @ b) for b in blocks))), 0.0)
+
+
+def _prepared_state(attack: AttackModel) -> np.ndarray:
+    return attack.v @ linalg.tensor(linalg.ket_plus(), attack.omega)
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """What the protocol derives from one attack alone: psi = V |+> (x) |omega>,
+    u_psi = U psi, and branches[z] = U Z_z psi (unnormalized)."""
+
+    attack: AttackModel
+    psi: np.ndarray
+    u_psi: np.ndarray
+    branches: tuple
+    p_ctrl: float
+    sift: SiftOutcome
+
+
+def _evaluate(attack: AttackModel) -> _Evaluation:
+    """Validate the attack and evaluate the CTRL and SIFT branches once."""
+    attack.validate()
+    d = attack.ancilla_dim
+    u = attack.u
+    psi = _prepared_state(attack)
+    u_psi = u @ psi
+    w0, w1 = _qubit_blocks(u_psi, d)
+    # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
+    p_ctrl = linalg.clamp_probability(float(np.linalg.norm(w0 - w1) ** 2 / 2.0))
+
+    p_a = np.empty(2)
+    sigma = []
+    rho_eve = []
+    p_b_given_a = np.zeros((2, 2))
+    degenerate = []
+
+    projected = []  # Z_z |Psi>, unnormalized
+    for z in (0, 1):
+        cut = psi.copy()
+        cut[(1 - z) * d:(2 - z) * d] = 0.0
+        projected.append(cut)
+        p_a[z] = linalg.clamp_probability(float(np.linalg.norm(cut) ** 2))
+
+    for z in (0, 1):
+        if p_a[z] <= DEGENERATE_BRANCH_TOL:
+            degenerate.append(True)
+            sigma.append(np.zeros((2 * d, 2 * d), dtype=complex))
+            rho_eve.append(np.zeros((d, d), dtype=complex))
+            continue
+        degenerate.append(False)
+        sigma.append(np.outer(projected[z], projected[z].conj()) / p_a[z])
+        returned = u @ sigma[z] @ linalg.dagger(u)
+        rho_eve.append(linalg.partial_trace_qubit(returned))
+        for z_bob in (0, 1):
+            block = returned[z_bob * d:(z_bob + 1) * d, z_bob * d:(z_bob + 1) * d]
+            p_b_given_a[z, z_bob] = linalg.clamp_probability(float(np.trace(block).real))
+
+    p_sift = float(p_b_given_a[0, 1] * p_a[0] + p_b_given_a[1, 0] * p_a[1])
+    p_sift_op = sift_error_operator(attack)
+    if abs(p_sift - p_sift_op) > CROSS_CHECK_TOL:
+        raise ArithmeticError(
+            f"P_SIFT routes disagree: defining sum {p_sift!r} vs operator form {p_sift_op!r}"
+        )
+
+    sift = SiftOutcome(
+        p_a=p_a,
+        sigma=tuple(sigma),
+        rho_eve=tuple(rho_eve),
+        p_b_given_a=p_b_given_a,
+        p_sift=p_sift,
+        degenerate=tuple(degenerate),
+    )
+    return _Evaluation(attack, psi, u_psi, tuple(u @ cut for cut in projected), p_ctrl, sift)
+
+
+def _joint_table(ev: _Evaluation, eve_povm: Povm) -> np.ndarray:
+    """Joint table p(z, e) of an evaluated attack; see joint_distribution."""
+    d = ev.attack.ancilla_dim
+    if eve_povm.dim != d:
+        raise ValueError(f"POVM dimension {eve_povm.dim} does not match ancilla dimension {d}")
+    table = np.empty((2, eve_povm.outcome_count))
+    for z in (0, 1):
+        blocks = _qubit_blocks(ev.branches[z], d)
+        for e, element in enumerate(eve_povm.elements):
+            table[z, e] = _lifted_expectation(blocks, element)
+            conditional = ev.sift.p_a[z] * float(np.trace(ev.sift.rho_eve[z] @ element).real)
+            if abs(table[z, e] - conditional) > CROSS_CHECK_TOL:
+                raise ArithmeticError(
+                    f"joint-distribution routes disagree at (z={z}, e={e}): "
+                    f"{table[z, e]!r} vs {conditional!r}"
+                )
+    return validate_joint(table)
+
+
 def forward_state(attack: AttackModel) -> np.ndarray:
     """The joint state V |+> (x) |omega> after Eve's forward interaction."""
-    attack.validate()
-    return attack.v @ linalg.tensor(linalg.ket_plus(), attack.omega)
+    return _evaluate(attack).psi
 
 
 def ctrl_error(attack: AttackModel) -> float:
@@ -82,21 +178,16 @@ def ctrl_error(attack: AttackModel) -> float:
 
     <Psi| U^dag (|-><-| (x) 1_K) U |Psi>, clamped into [0, 1].
     """
-    d = attack.ancilla_dim
-    w = attack.u @ forward_state(attack)
-    w0, w1 = _qubit_blocks(w, d)
-    # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
-    p = float(np.linalg.norm(w0 - w1) ** 2 / 2.0)
-    return linalg.clamp_probability(p)
+    return _evaluate(attack).p_ctrl
 
 
 def sift_error_operator(attack: AttackModel) -> float:
     """P_SIFT via the operator identity
     <Psi| Z_0 U^dag Z_1 U Z_0 |Psi> + <Psi| Z_1 U^dag Z_0 U Z_1 |Psi>,
     evaluated with explicit projector matrices (independent of the
-    branch bookkeeping in sift_branch)."""
+    branch bookkeeping in sift_branch).  It does not validate the attack."""
     d = attack.ancilla_dim
-    psi = forward_state(attack)
+    psi = _prepared_state(attack)
     eye_k = np.eye(d, dtype=complex)
     z = [linalg.tensor(linalg.projector(linalg.basis_state(2, zz)), eye_k) for zz in (0, 1)]
     u = attack.u
@@ -116,52 +207,7 @@ def sift_branch(attack: AttackModel) -> SiftOutcome:
     p(1|0) p_a(0) + p(0|1) p_a(1) and cross-checked against the operator
     expression within 1e-12.
     """
-    d = attack.ancilla_dim
-    psi = forward_state(attack)
-    zeros = np.zeros((2 * d, 2 * d), dtype=complex)
-
-    p_a = np.empty(2)
-    sigma = []
-    rho_eve = []
-    p_b_given_a = np.zeros((2, 2))
-    degenerate = []
-
-    projected = []  # Z_z |Psi>, unnormalized
-    for z in (0, 1):
-        cut = psi.copy()
-        cut[(1 - z) * d:(2 - z) * d] = 0.0
-        projected.append(cut)
-        p_a[z] = linalg.clamp_probability(float(np.linalg.norm(cut) ** 2))
-
-    for z in (0, 1):
-        if p_a[z] <= DEGENERATE_BRANCH_TOL:
-            degenerate.append(True)
-            sigma.append(zeros.copy())
-            rho_eve.append(np.zeros((d, d), dtype=complex))
-            continue
-        degenerate.append(False)
-        sigma.append(np.outer(projected[z], projected[z].conj()) / p_a[z])
-        returned = attack.u @ sigma[z] @ linalg.dagger(attack.u)
-        rho_eve.append(linalg.partial_trace_qubit(returned))
-        for z_bob in (0, 1):
-            block = returned[z_bob * d:(z_bob + 1) * d, z_bob * d:(z_bob + 1) * d]
-            p_b_given_a[z, z_bob] = linalg.clamp_probability(float(np.trace(block).real))
-
-    p_sift = float(p_b_given_a[0, 1] * p_a[0] + p_b_given_a[1, 0] * p_a[1])
-    p_sift_op = sift_error_operator(attack)
-    if abs(p_sift - p_sift_op) > CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"P_SIFT routes disagree: defining sum {p_sift!r} vs operator form {p_sift_op!r}"
-        )
-
-    return SiftOutcome(
-        p_a=p_a,
-        sigma=tuple(sigma),
-        rho_eve=tuple(rho_eve),
-        p_b_given_a=p_b_given_a,
-        p_sift=p_sift,
-        degenerate=tuple(degenerate),
-    )
+    return _evaluate(attack).sift
 
 
 def joint_distribution(attack: AttackModel, eve_povm: Povm) -> np.ndarray:
@@ -170,28 +216,7 @@ def joint_distribution(attack: AttackModel, eve_povm: Povm) -> np.ndarray:
     Cross-checked against the conditional route
     p_a(z) * tr(rho_z E_e) within 1e-12 before returning.
     """
-    d = attack.ancilla_dim
-    if eve_povm.dim != d:
-        raise ValueError(f"POVM dimension {eve_povm.dim} does not match ancilla dimension {d}")
-    psi = forward_state(attack)
-    sift = sift_branch(attack)
-
-    table = np.empty((2, eve_povm.outcome_count))
-    for z in (0, 1):
-        cut = psi.copy()
-        cut[(1 - z) * d:(2 - z) * d] = 0.0
-        v_z = attack.u @ cut
-        b0, b1 = _qubit_blocks(v_z, d)
-        for e, element in enumerate(eve_povm.elements):
-            val = np.vdot(b0, element @ b0) + np.vdot(b1, element @ b1)
-            table[z, e] = max(float(np.real(val)), 0.0)
-            conditional = sift.p_a[z] * float(np.trace(sift.rho_eve[z] @ element).real)
-            if abs(table[z, e] - conditional) > CROSS_CHECK_TOL:
-                raise ArithmeticError(
-                    f"joint-distribution routes disagree at (z={z}, e={e}): "
-                    f"{table[z, e]!r} vs {conditional!r}"
-                )
-    return validate_joint(table)
+    return _joint_table(_evaluate(attack), eve_povm)
 
 
 def eve_information(attack: AttackModel, eve_povm: Povm) -> float:

@@ -5,7 +5,6 @@ SeedSequence, so a (suite, trials, seed) triple is fully reproducible
 and any worst instance can be regenerated from its trial index.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,10 +12,9 @@ import numpy as np
 from .attacks import random_attack
 from .info import mutual_information
 from .povm import Povm, random_povm
-from .protocol import AttackModel, ctrl_error, eve_information, sift_branch
-from .tradeoff import fidelity_information_bound, povm_overlap_slack, proof_chain, tradeoff_bound
+from .protocol import AttackModel, _evaluate, _joint_table
+from .tradeoff import SLACK_TOL, fidelity_information_bound, povm_overlap_slack, proof_chain, tradeoff_bound
 
-SLACK_TOL = -1e-9
 EQUALITY_TOL = 1e-12
 
 SUITE_NAMES = ("lemma1", "lemma2", "theorem", "proof-chain")
@@ -36,13 +34,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-
-def parallel_map(fn, trials: int, threads: int = 1) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def _random_joint(rng) -> np.ndarray:
@@ -79,8 +70,9 @@ def _lemma2_trial(child) -> float:
 
 def _theorem_trial(child) -> tuple[float, float]:
     attack, eve_povm = sample_theorem_instance(child)
-    info = eve_information(attack, eve_povm)
-    rhs = tradeoff_bound(ctrl_error(attack), sift_branch(attack).p_sift)
+    ev = _evaluate(attack)
+    info = mutual_information(_joint_table(ev, eve_povm))
+    rhs = tradeoff_bound(ev.p_ctrl, ev.sift.p_sift)
     ratio = info / rhs if rhs > 1e-15 else 0.0
     return rhs - info, ratio
 
@@ -93,7 +85,7 @@ def _proof_chain_trial(child) -> tuple[float, float]:
     return min(one_sided), residual
 
 
-def run_suite(suite: str, trials: int, seed: int, threads: int = 1) -> SuiteResult:
+def run_suite(suite: str, trials: int, seed: int) -> SuiteResult:
     """Run one named suite and aggregate violations deterministically."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
@@ -102,17 +94,17 @@ def run_suite(suite: str, trials: int, seed: int, threads: int = 1) -> SuiteResu
     children = np.random.SeedSequence(seed).spawn(trials)
 
     if suite == "lemma1":
-        slacks = parallel_map(lambda i: _lemma1_trial(children[i]), trials, threads)
+        slacks = [_lemma1_trial(child) for child in children]
         extra = {}
     elif suite == "lemma2":
-        slacks = parallel_map(lambda i: _lemma2_trial(children[i]), trials, threads)
+        slacks = [_lemma2_trial(child) for child in children]
         extra = {}
     elif suite == "theorem":
-        pairs = parallel_map(lambda i: _theorem_trial(children[i]), trials, threads)
+        pairs = [_theorem_trial(child) for child in children]
         slacks = [p[0] for p in pairs]
         extra = {"max_info_ratio": float(max(p[1] for p in pairs))}
     else:
-        pairs = parallel_map(lambda i: _proof_chain_trial(children[i]), trials, threads)
+        pairs = [_proof_chain_trial(child) for child in children]
         slacks = [p[0] for p in pairs]
         residuals = [p[1] for p in pairs]
         extra = {"max_equality_residual": float(max(residuals))}

@@ -18,11 +18,12 @@ from .info import mutual_information, validate_joint
 from .povm import Povm
 from .protocol import (
     AttackModel,
-    ctrl_error,
-    eve_information,
-    forward_state,
-    joint_distribution,
-    sift_branch,
+    SiftOutcome,
+    _evaluate,
+    _Evaluation,
+    _joint_table,
+    _lifted_expectation,
+    _qubit_blocks,
 )
 
 SLACK_TOL = -1e-9
@@ -47,6 +48,8 @@ class ProofTrace:
 
 @dataclass(frozen=True)
 class TradeoffReport:
+    """Both sides of the bound, its certificate, and their SIFT branch and joint table."""
+
     p_ctrl: float
     p_sift: float
     info: float
@@ -54,6 +57,8 @@ class TradeoffReport:
     gap: float
     holds: bool
     trace: ProofTrace
+    sift: SiftOutcome
+    joint: np.ndarray
 
 
 def tradeoff_bound(p_ctrl: float, p_sift: float) -> float:
@@ -99,13 +104,12 @@ def povm_overlap_slack(phi0: np.ndarray, phi1: np.ndarray, x: np.ndarray, eve_po
             f"vectors must live on the joint space of dim {2 * d}, "
             f"got shapes {phi0.shape} and {phi1.shape}"
         )
-    lifted_x = linalg.tensor(x, np.eye(d, dtype=complex))
-    lhs = abs(np.vdot(phi0, lifted_x @ phi1))
+    # x (x) 1_K acts on the qubit-major layout as x on the rows of the (2, d) reshape
+    lhs = abs(np.vdot(phi0, (x @ phi1.reshape(2, d)).ravel()))
+    blocks0, blocks1 = _qubit_blocks(phi0, d), _qubit_blocks(phi1, d)
     rhs = 0.0
-    for element in eve_povm.lifted():
-        a = max(float(np.real(np.vdot(phi0, element @ phi0))), 0.0)
-        b = max(float(np.real(np.vdot(phi1, element @ phi1))), 0.0)
-        rhs += np.sqrt(a * b)
+    for element in eve_povm.elements:
+        rhs += np.sqrt(_lifted_expectation(blocks0, element) * _lifted_expectation(blocks1, element))
     rhs *= linalg.operator_norm(x)
     return float(rhs - lhs)
 
@@ -132,50 +136,44 @@ def proof_chain(attack: AttackModel, eve_povm: Povm) -> ProofTrace:
     table noise past any reasonable tolerance.  The sign is the same
     either way.
     """
-    attack.validate()
-    d = attack.ancilla_dim
-    if eve_povm.dim != d:
-        raise ValueError(f"POVM dimension {eve_povm.dim} does not match ancilla dimension {d}")
+    ev = _evaluate(attack)
+    joint = _joint_table(ev, eve_povm)
+    return _proof_chain(ev, eve_povm, joint, mutual_information(joint))
 
-    psi = forward_state(attack)
-    u = attack.u
-    p_ctrl = ctrl_error(attack)
-    p_sift = sift_branch(attack).p_sift
-    eye_k = np.eye(d, dtype=complex)
-    z_ops = [linalg.tensor(linalg.projector(linalg.basis_state(2, z)), eye_k) for z in (0, 1)]
-    lifted = eve_povm.lifted()
-    m = eve_povm.outcome_count
 
-    c_ops = tuple(
-        z_ops[1 - z] @ u @ z_ops[z] - z_ops[z] @ u @ z_ops[1 - z] for z in (0, 1)
-    )
-    c_psi = [c @ psi for c in c_ops]
+def _proof_chain(ev: _Evaluation, eve_povm: Povm, joint: np.ndarray, info: float) -> ProofTrace:
+    """proof_chain for an evaluated attack, its joint table and I(A:E),
+    computed on the qubit blocks of psi, U and U psi."""
+    d = ev.attack.ancilla_dim
+    u = ev.attack.u
+    p_ctrl, p_sift = ev.p_ctrl, ev.sift.p_sift
+    psi = _qubit_blocks(ev.psi, d)
+    w = _qubit_blocks(ev.u_psi, d)
 
-    slacks = {}
-    for z in (0, 1):
-        slacks[f"s1_z{z}"] = float(np.real(np.vdot(c_psi[z], c_psi[z]))) - p_sift
+    # C_0 = Z_1 U Z_0 - Z_0 U Z_1 keeps the off-diagonal blocks of U, one
+    # negated, and C_1 = -C_0, so both steps share C_0 psi and its blocks
+    c0 = np.zeros_like(u)
+    c0[d:, :d] = u[d:, :d]
+    c0[:d, d:] = -u[:d, d:]
+    c_psi = (c0[:d, d:] @ psi[1], c0[d:, :d] @ psi[0])
 
-    joint = joint_distribution(attack, eve_povm)
-    u_psi = u @ psi
-    p0 = np.empty((2, m))
-    for z in (0, 1):
-        w = z_ops[z] @ u_psi
-        for e in range(m):
-            p0[z, e] = max(float(np.real(np.vdot(w, lifted[e] @ w))), 0.0)
+    residual = float(sum(np.vdot(b, b).real for b in c_psi)) - p_sift
+    slacks = {"s1_z0": residual, "s1_z1": residual}
+
+    p0 = np.array([[_lifted_expectation((w[z],), e) for e in eve_povm.elements] for z in (0, 1)])
     p0_marginal = p0.sum(axis=1)
 
     s2 = np.inf
-    for z in (0, 1):
-        for e in range(m):
-            disturb = max(float(np.real(np.vdot(c_psi[z], lifted[e] @ c_psi[z]))), 0.0)
+    for e, element in enumerate(eve_povm.elements):
+        disturb = _lifted_expectation(c_psi, element)
+        for z in (0, 1):
             lhs = abs(np.sqrt(joint[z, e]) - np.sqrt(p0[z, e]))
             rhs = np.sqrt(2.0 * np.sqrt(p0[z, e]) * np.sqrt(disturb) + disturb)
             s2 = min(s2, float(rhs - lhs))
     slacks["s2"] = s2
 
-    flip = np.zeros((2, 2), dtype=complex)
-    flip[0, 1] = 1.0  # |0><1| on the qubit
-    lhs_overlap = float(abs(np.vdot(u_psi, linalg.tensor(flip, eye_k) @ u_psi)))
+    # <U psi| (|0><1| (x) 1_K) |U psi> pairs block 0 with block 1
+    lhs_overlap = float(abs(np.vdot(w[0], w[1])))
     slacks["s3"] = lhs_overlap - (0.5 - p_ctrl)
 
     slack_term = 6.0 * p_sift ** 0.25
@@ -184,7 +182,6 @@ def proof_chain(attack: AttackModel, eve_povm: Povm) -> ProofTrace:
     slacks["s4"] = fidelity_sum + slack_term - p0_overlap
     slacks["s5"] = fidelity_sum - (0.5 - p_ctrl - slack_term)
 
-    info = mutual_information(joint)
     fid_bound = fidelity_information_bound(joint)
     rhs_bound = tradeoff_bound(p_ctrl, p_sift)
     slacks["s6_info_fidelity"] = fid_bound - info
@@ -194,7 +191,7 @@ def proof_chain(attack: AttackModel, eve_povm: Povm) -> ProofTrace:
         slacks["s6_fidelity_bound"] = rhs_bound - info
 
     return ProofTrace(
-        c=c_ops,
+        c=(c0, -c0),
         p0=p0,
         p0_marginal=p0_marginal,
         lhs_overlap=lhs_overlap,
@@ -206,17 +203,19 @@ def proof_chain(attack: AttackModel, eve_povm: Povm) -> ProofTrace:
 def verify_tradeoff(attack: AttackModel, eve_povm: Povm) -> TradeoffReport:
     """Evaluate both sides of the trade-off bound for a concrete attack
     and POVM, with the full derivation certificate attached."""
-    p_ctrl = ctrl_error(attack)
-    p_sift = sift_branch(attack).p_sift
-    info = eve_information(attack, eve_povm)
-    rhs = tradeoff_bound(p_ctrl, p_sift)
+    ev = _evaluate(attack)
+    joint = _joint_table(ev, eve_povm)
+    info = mutual_information(joint)
+    rhs = tradeoff_bound(ev.p_ctrl, ev.sift.p_sift)
     gap = rhs - info
     return TradeoffReport(
-        p_ctrl=p_ctrl,
-        p_sift=p_sift,
+        p_ctrl=ev.p_ctrl,
+        p_sift=ev.sift.p_sift,
         info=info,
         rhs=rhs,
         gap=gap,
         holds=bool(gap >= SLACK_TOL),
-        trace=proof_chain(attack, eve_povm),
+        trace=_proof_chain(ev, eve_povm, joint, info),
+        sift=ev.sift,
+        joint=joint,
     )

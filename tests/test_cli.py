@@ -126,14 +126,10 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
-def test_verify_threads_do_not_change_results(capsys, tmp_path, monkeypatch):
-    serial_path, parallel_path = tmp_path / "s.json", tmp_path / "p.json"
-    run_cli(capsys, "verify", "--suite", "theorem", "--trials", "30", "--seed", "2",
-            "--out", str(serial_path))
-    monkeypatch.setenv("SQKD_THREADS", "4")
-    run_cli(capsys, "verify", "--suite", "theorem", "--trials", "30", "--seed", "2",
-            "--out", str(parallel_path))
-    assert serial_path.read_bytes() == parallel_path.read_bytes()
+def test_optimize_rejects_zero_trials(capsys):
+    code, _, err = run_cli(capsys, "optimize", "--trials", "0")
+    assert code == 2
+    assert "--trials" in err
 
 
 def test_optimize_small_budget(capsys, tmp_path):

@@ -177,3 +177,14 @@ def test_eve_information_bounded_by_alice_entropy():
         out = sift_branch(attack)
         h_a = -sum(p * np.log2(p) for p in out.p_a if p > 1e-15)
         assert eve_information(attack, eve) <= h_a + 1e-9
+
+
+def test_joint_raises_when_conditional_route_disagrees(monkeypatch):
+    trace_out_qubit = linalg.partial_trace_qubit
+
+    def perturbed(m):
+        return trace_out_qubit(m) + 1e-9 * np.eye(m.shape[0] // 2)
+
+    monkeypatch.setattr(linalg, "partial_trace_qubit", perturbed)
+    with pytest.raises(ArithmeticError, match="joint-distribution routes disagree"):
+        joint_distribution(named_attack("forward-cnot"), basis_povm(2, "z"))

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from sqkd.suites import SUITE_NAMES, run_suite
+from sqkd.protocol import ctrl_error, eve_information, sift_branch
+from sqkd.suites import SUITE_NAMES, run_suite, sample_theorem_instance
+from sqkd.tradeoff import tradeoff_bound
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -18,10 +21,15 @@ def test_suite_results_are_deterministic():
     assert a == b
 
 
-def test_parallel_matches_serial():
-    serial = run_suite("lemma2", 60, seed=9, threads=1)
-    parallel = run_suite("lemma2", 60, seed=9, threads=4)
-    assert serial == parallel
+def test_theorem_suite_matches_public_functions():
+    result = run_suite("theorem", 40, seed=9)
+    slacks = []
+    for child in np.random.SeedSequence(9).spawn(40):
+        attack, eve_povm = sample_theorem_instance(child)
+        rhs = tradeoff_bound(ctrl_error(attack), sift_branch(attack).p_sift)
+        slacks.append(rhs - eve_information(attack, eve_povm))
+    assert result.worst_trial == int(np.argmin(slacks))
+    assert result.min_slack == min(slacks)
 
 
 def test_proof_chain_tracks_equality_residual():

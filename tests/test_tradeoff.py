@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sqkd import linalg
-from sqkd.attacks import named_attack
+from sqkd import linalg, protocol
+from sqkd.attacks import named_attack, random_attack
 from sqkd.povm import Povm, basis_povm, random_povm
 from sqkd.suites import sample_theorem_instance
 from sqkd.tradeoff import (
@@ -182,3 +182,56 @@ def test_bound_chain_on_random_instances():
             assert fid <= report.rhs + 1e-9
         assert report.info <= report.rhs + 1e-9
         assert report.holds
+
+
+def test_verify_tradeoff_evaluates_the_attack_once(monkeypatch):
+    attack, eve = random_attack(3, 11), random_povm(3, 5, 12)
+    calls = {"validate": 0, "sift_error_operator": 0}
+    validate, operator_route = protocol.AttackModel.validate, protocol.sift_error_operator
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        validate(self)
+
+    def counted_operator_route(a):
+        calls["sift_error_operator"] += 1
+        return operator_route(a)
+
+    monkeypatch.setattr(protocol.AttackModel, "validate", counted_validate)
+    monkeypatch.setattr(protocol, "sift_error_operator", counted_operator_route)
+    verify_tradeoff(attack, eve)
+    assert calls == {"validate": 1, "sift_error_operator": 1}
+
+
+def test_verify_tradeoff_raises_when_sift_routes_disagree(monkeypatch):
+    operator_route = protocol.sift_error_operator
+    monkeypatch.setattr(protocol, "sift_error_operator", lambda a: operator_route(a) + 1e-9)
+    with pytest.raises(ArithmeticError, match="P_SIFT routes disagree"):
+        verify_tradeoff(random_attack(2, 3), basis_povm(2, "z"))
+
+
+def test_proof_chain_matches_lifted_projector_route():
+    # reference: every qubit and ancilla operator lifted to H (x) K with kron
+    root = np.random.SeedSequence(4321)
+    for child in root.spawn(100):
+        attack, eve = sample_theorem_instance(child)
+        d, u = attack.ancilla_dim, attack.u
+        psi = protocol.forward_state(attack)
+        z_ops = [np.kron(np.diag(np.eye(2)[z]), np.eye(d)) for z in (0, 1)]
+        lifted = [np.kron(np.eye(2), e) for e in eve.elements]
+        trace = proof_chain(attack, eve)
+        for z in (0, 1):
+            c = z_ops[1 - z] @ u @ z_ops[z] - z_ops[z] @ u @ z_ops[1 - z]
+            assert np.array_equal(trace.c[z], c)
+            w = z_ops[z] @ u @ psi
+            p0 = [max(np.vdot(w, e @ w).real, 0.0) for e in lifted]
+            assert np.max(np.abs(trace.p0[z] - p0)) <= 1e-12
+        flip = np.kron(np.array([[0, 1], [0, 0]]), np.eye(d))
+        assert abs(trace.lhs_overlap - abs(np.vdot(u @ psi, flip @ u @ psi))) <= 1e-12
+
+        phi0, phi1 = u @ psi, psi
+        x = linalg.haar_unitary(2, child)
+        lhs = abs(np.vdot(phi0, np.kron(x, np.eye(d)) @ phi1))
+        rhs = sum(np.sqrt(max(np.vdot(phi0, e @ phi0).real, 0.0) * max(np.vdot(phi1, e @ phi1).real, 0.0))
+                  for e in lifted)
+        assert abs(povm_overlap_slack(phi0, phi1, x, eve) - (rhs - lhs)) <= 1e-12
