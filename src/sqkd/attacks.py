@@ -4,7 +4,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import linalg
 from .protocol import AttackModel
@@ -110,7 +109,7 @@ def parameterized_attack(params, d: int) -> AttackModel:
         raise ValueError(f"expected {2 * n * n} parameters for d={d}, got shape {params.shape}")
     h_v = hermitian_from_params(params[: n * n], n)
     h_u = hermitian_from_params(params[n * n:], n)
-    return AttackModel(d, linalg.basis_state(d, 0), expm(1j * h_v), expm(1j * h_u))
+    return AttackModel(d, linalg.basis_state(d, 0), linalg.exp_i_hermitian(h_v), linalg.exp_i_hermitian(h_u))
 
 
 @dataclass(frozen=True)

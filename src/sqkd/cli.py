@@ -15,8 +15,9 @@ import scipy
 
 from . import __version__
 from .attacks import FAMILIES, named_attack, parameterized_attack
-from .eavesdropper import OptimizerConfig, accessible_information, holevo_bound
+from .eavesdropper import OptimizerConfig, _accessible_information, accessible_information, holevo_bound
 from .povm import basis_povm
+from .protocol import _evaluate
 from .serialize import (
     attack_to_dict,
     parse_attack_file,
@@ -26,10 +27,12 @@ from .serialize import (
     write_document,
 )
 from .suites import SUITE_NAMES, run_suite
-from .tradeoff import verify_tradeoff
+from .tradeoff import tradeoff_bound, verify_tradeoff
 
 NAMED_ATTACKS = ("identity", "forward-cnot", "return-cz")
 SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
+RESTARTS_HELP = ("POVM optimizer starts: the eigenbasis of p_a(0) rho_0 - p_a(1) rho_1, "
+                 "the computational basis, then random POVMs seeded by --seed")
 
 
 def _versions() -> dict:
@@ -122,7 +125,7 @@ def cmd_run(args) -> int:
     }
     if found is not None:
         doc["optimizer"] = {
-            "converged": found.converged,
+            "stop_reasons": found.stop_reasons,
             "restart_values": [float(v) for v in found.restart_values],
             "info_interval": info_interval,
         }
@@ -173,16 +176,14 @@ def cmd_optimize(args) -> int:
     outer_seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
 
     def score(x, inner_seed: int) -> float:
-        attack = parameterized_attack(x, d)
-        # coarse inner budget during the scan; the winner is re-evaluated below
-        cfg = OptimizerConfig(restarts=args.restarts, max_iterations=200,
-                              stall_evals=120, seed=inner_seed)
-        found = accessible_information(attack, cfg)
-        rep = verify_tradeoff(attack, found.povm)
+        ev = _evaluate(parameterized_attack(x, d))
+        # coarse inner budget during the scan; only the winner gets the full report below
+        cfg = OptimizerConfig(restarts=args.restarts, max_iterations=200, seed=inner_seed)
+        info = _accessible_information(ev, cfg).info
+        p_ctrl, p_sift = ev.p_ctrl, ev.sift.p_sift
         if args.objective == "max-gap":
-            return rep.info - rep.rhs
-        penalty = 1e3 * max(0.0, rep.p_ctrl + rep.p_sift - args.epsilon)
-        return rep.info - penalty
+            return info - tradeoff_bound(p_ctrl, p_sift)
+        return info - 1e3 * max(0.0, p_ctrl + p_sift - args.epsilon)
 
     best_x, best_score = None, -np.inf
     restart_stats = []
@@ -275,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--family", help="attack family name (with --param name=value)")
     p_run.add_argument("--param", help="family parameter, e.g. theta=0.3")
     p_run.add_argument("--povm", default="z", help="'z', 'x', 'optimize', or a POVM JSON file")
-    p_run.add_argument("--restarts", type=int, default=32, help="POVM optimizer restarts")
+    p_run.add_argument("--restarts", type=int, default=32, help=RESTARTS_HELP)
     common(p_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep a family parameter grid to CSV")
     p_sweep.add_argument("--family", required=True, help="attack family name")
     p_sweep.add_argument("--param", required=True, help="grid, e.g. theta=0:1.5708:100")
     p_sweep.add_argument("--povm", default="z", help="'z', 'x', 'optimize', or a POVM JSON file")
-    p_sweep.add_argument("--restarts", type=int, default=8, help="POVM optimizer restarts")
+    p_sweep.add_argument("--restarts", type=int, default=8, help=RESTARTS_HELP)
     common(p_sweep)
 
     p_opt = sub.add_parser("optimize", help="search attack space for the worst case")
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--epsilon", type=float, default=0.05,
                        help="disturbance budget for max-info (p_ctrl + p_sift <= epsilon)")
     p_opt.add_argument("--trials", type=int, default=8, help="attack-space restarts")
-    p_opt.add_argument("--restarts", type=int, default=4, help="inner POVM optimizer restarts")
+    p_opt.add_argument("--restarts", type=int, default=4, help="POVM optimizer starts per scored attack (as for run)")
     common(p_opt)
 
     p_verify = sub.add_parser("verify", help="run a seeded randomized verification suite")

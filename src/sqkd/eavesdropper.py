@@ -1,38 +1,57 @@
-"""Optimization of Eve's POVM and entropy reference bounds.
+"""Eve's accessible information and the Holevo ceiling above it.
 
-The accessible-information search is a derivative-free simplex descent
-over POVM factor parameters, restarted from the ancilla computational
-basis (restart 0) and from seeded random factor sets.  Whatever it
-returns is a valid POVM, so the achieved information is always a lower
-bound on the true accessible information.
+The accessible information, the largest I(A:E) over measurements on
+Eve's ancilla, is searched by the monotone fixed-point ascent of Rehacek,
+Englert and Kaszlikowski (Phys. Rev. A 71, 054303, 2005) over rank-one
+POVMs, which suffice for accessible information (Davies, IEEE Trans. Inf.
+Theory 24, 596, 1978).
+The POVM is m = max(2, d^2) vectors v_e on the ancilla, E_e = |v_e><v_e|,
+and Eve's ensemble is tau_z = p_a(z) rho_z.  One step moves every vector
+along the gradient operator G_e = sum_z tau_z log(p(z, e) / (p(z) p(e)))
+and restores completeness:
+
+    v_e <- Lambda^{-1/2} (1 + eps G_e) v_e,
+    Lambda = sum_e (1 + eps G_e) |v_e><v_e| (1 + eps G_e).
+
+A step is kept only if the information does not drop.  Otherwise eps is
+halved, as it is while Lambda is near-singular; after a kept step it
+doubles.  Start 0 is the eigenbasis of tau_0 - tau_1, which refines the
+Helstrom measurement, so the result never falls below the Helstrom
+information.  Start 1 is the computational basis, the others are seeded
+random POVMs.  Every iterate is a valid POVM, so the reported information
+is achieved: a lower bound on the accessible information, with the Holevo
+quantity as the ceiling above it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .info import mutual_information, shannon_entropy, von_neumann_entropy
-from .povm import FACTOR_SINGULAR_TOL, Povm, povm_from_factors
-from .protocol import AttackModel, _evaluate, _joint_table
+from . import linalg
+from .info import ZERO_PROB, _entropy_bits, mutual_information, shannon_entropy, von_neumann_entropy
+from .povm import Povm
+from .protocol import AttackModel, _evaluate, _Evaluation, _joint_table
+
+FLAT_GAIN = 1e-12  # bits: a kept step that gains less ends the start
+MIN_STEP = 1e-12  # eps below this ends the start
+SINGULAR_TOL = 1e-6  # Lambda is near-singular below this eigenvalue ratio
 
 
 @dataclass
 class OptimizerConfig:
     """Knobs for the POVM search.
 
-    outcome_count defaults to d^2 (enough outcomes for the accessible
-    information of an ensemble in dimension d).  A restart is stopped
-    early once stall_evals objective evaluations pass without improving
-    the restart's best value by more than fatol.
+    outcome_count is the number m of rank-one outcomes, by default
+    max(2, d^2), enough for the accessible information of an ensemble in
+    dimension d; it must be at least d.  restarts counts the starts (the
+    eigenbasis start, the computational basis, then random POVMs seeded
+    from `seed`), and max_iterations bounds the steps tried from each
+    start, kept or not.
     """
 
     outcome_count: int | None = None
     restarts: int = 32
     max_iterations: int = 2000
-    xatol: float = 1e-6
-    fatol: float = 1e-10
-    stall_evals: int = 400
     seed: int = 0
 
     def validate(self) -> None:
@@ -44,130 +63,108 @@ class OptimizerConfig:
 
 @dataclass
 class AccessibleInfoResult:
+    """The best POVM found and its I(A:E), from the full dual-route evaluation.
+
+    restart_values[k] is the information start k ended at and
+    stop_reasons[k] why it ended: "flat" (a kept step gained less than
+    1e-12 bits), "step" (eps fell below 1e-12) or "iterations"
+    (max_iterations steps tried).
+    """
+
     info: float
     povm: Povm
-    converged: bool
+    stop_reasons: list = field(default_factory=list)
     restart_values: list = field(default_factory=list)
 
 
-class _Stagnation(Exception):
-    """Internal signal that a restart stopped improving."""
+def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """I(A:E) in bits of the POVM with vectors v (columns), and G_e v_e (columns)."""
+    tv = tau @ v  # tau_z v_e
+    table = np.clip(np.einsum("ie,zie->ze", v.conj(), tv).real, 0.0, None)
+    p_z = table.sum(axis=1, keepdims=True)
+    p_e = table.sum(axis=0, keepdims=True)
+    info = _entropy_bits(p_z) + _entropy_bits(p_e) - _entropy_bits(table)
+    # where p(z, e) vanishes so does tau_z v_e (tau_z >= 0), and its term with it
+    ratio = np.ones_like(table)
+    np.divide(table, p_z * p_e, out=ratio, where=table >= ZERO_PROB)
+    return info, np.einsum("ze,zie->ie", np.log(ratio), tv)
 
 
-def _factors_from_vector(x: np.ndarray, d: int, m: int) -> list:
-    block = 2 * d * d
-    factors = []
-    for e in range(m):
-        chunk = x[e * block:(e + 1) * block]
-        factors.append((chunk[: d * d] + 1j * chunk[d * d:]).reshape(d, d))
-    return factors
+def _completed(w: np.ndarray) -> np.ndarray | None:
+    """Lambda^{-1/2} w with Lambda = w w^dag, or None if Lambda is near-singular."""
+    lam, q = np.linalg.eigh(w @ w.conj().T)
+    if lam[0] <= SINGULAR_TOL * lam[-1]:
+        return None
+    return (q / np.sqrt(lam)) @ (q.conj().T @ w)
 
 
-def _basis_start(d: int, m: int) -> np.ndarray:
-    """Factor vector whose POVM is the ancilla computational-basis PVM
-    (outcomes beyond d are zero elements)."""
-    x = np.zeros(m * 2 * d * d)
-    for e in range(min(d, m)):
-        x[e * 2 * d * d + e * d + e] = 1.0
-    return x
+def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.ndarray, float, str]:
+    """Monotone ascent from the vectors v; returns the last kept vectors,
+    their information and the stop reason."""
+    info, grad = _objective(tau, v)
+    eps = 1.0
+    for _ in range(max_iterations):
+        trial = _completed(v + eps * grad)
+        if trial is not None:
+            trial_info, trial_grad = _objective(tau, trial)
+            if trial_info >= info:
+                gain = trial_info - info
+                v, info, grad = trial, trial_info, trial_grad
+                if gain < FLAT_GAIN:
+                    return v, info, "flat"
+                eps *= 2.0
+                continue
+        eps /= 2.0
+        if eps < MIN_STEP:
+            return v, info, "step"
+    return v, info, "iterations"
 
 
-def _entropy_bits(v: np.ndarray) -> float:
-    nz = v[v > 1e-15]
-    return float(-(nz * np.log2(nz)).sum())
+def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> list:
+    """Start vectors (d x m, columns v_e): the eigenbasis of tau_0 - tau_1 and
+    the computational basis, each padded with zero vectors, then random POVMs."""
+    d = tau.shape[1]
+    bases = [np.linalg.eigh(tau[0] - tau[1])[1], np.eye(d, dtype=complex)]
+    starts = [np.hstack([b, np.zeros((d, m - d), dtype=complex)]) for b in bases]
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[2:]:
+        # d rows of a Haar unitary on C^m: a uniformly random rank-one POVM
+        starts.append(linalg.haar_unitary(m, child)[:d])
+    return starts[: cfg.restarts]
 
 
-def _fast_mutual_information(table: np.ndarray) -> float:
-    return _entropy_bits(table.sum(axis=1)) + _entropy_bits(table.sum(axis=0)) - _entropy_bits(table.ravel())
+def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
+    """accessible_information of an evaluated attack."""
+    cfg = cfg or OptimizerConfig()
+    cfg.validate()
+    d = ev.attack.ancilla_dim
+    m = cfg.outcome_count or max(2, d * d)
+    if m < d:
+        raise ValueError(f"outcome_count {m} is below the ancilla dimension {d}")
+    tau = np.stack([ev.sift.p_a[z] * ev.sift.rho_eve[z] for z in (0, 1)])
+
+    best_v, best_info = None, -np.inf
+    stop_reasons, restart_values = [], []
+    for v0 in _starts(tau, m, cfg):
+        v, info, reason = _ascend(tau, v0, cfg.max_iterations)
+        stop_reasons.append(reason)
+        restart_values.append(info)
+        if info > best_info:
+            best_v, best_info = v, info
+
+    best_povm = Povm(tuple(linalg.projector(v) for v in best_v.T))
+    # the reported value always comes from the full dual-route evaluation
+    achieved = mutual_information(_joint_table(ev, best_povm))
+    return AccessibleInfoResult(achieved, best_povm, stop_reasons, restart_values)
 
 
 def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
     """Best I(A:E) found over POVMs on the ancilla, with the POVM achieving it.
 
-    Nelder-Mead over factor parameters, `cfg.restarts` independent
-    restarts (restart 0 starts at the computational-basis PVM), ties
-    broken by lower restart index.  Non-convergence is reported through
-    the `converged` flag, never raised.
+    Runs the ascent from `cfg.restarts` starts (see the module docstring)
+    and keeps the best, ties broken by lower start index.  Each start's
+    stop reason is reported in `stop_reasons`, never raised.
     """
-    cfg = cfg or OptimizerConfig()
-    cfg.validate()
-    ev = _evaluate(attack)
-    d = attack.ancilla_dim
-    m = cfg.outcome_count or max(2, d * d)
-    block = 2 * d * d
-
-    # weighted conditional states: tr(w_z E_e) = p_a(z) tr(rho_z E_e)
-    weighted_t = np.stack([(ev.sift.p_a[z] * ev.sift.rho_eve[z]).T for z in (0, 1)])
-
-    def negated_info(x: np.ndarray) -> float:
-        factors = np.stack(_factors_from_vector(x, d, m))
-        grams = factors.conj().transpose(0, 2, 1) @ factors
-        eigvals, eigvecs = np.linalg.eigh(grams.sum(axis=0))
-        if eigvals[0] <= FACTOR_SINGULAR_TOL:
-            return 0.0  # degenerate factor set: worst possible value
-        s_inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
-        elements = s_inv_sqrt @ grams @ s_inv_sqrt
-        table = np.einsum("zij,eij->ze", weighted_t, elements).real
-        np.clip(table, 0.0, None, out=table)
-        return -_fast_mutual_information(table)
-
-    def run_restart(x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        state = {"x": x0.copy(), "f": negated_info(x0), "stall": 0}
-
-        def tracked(x):
-            f = negated_info(x)
-            if f < state["f"] - cfg.fatol:
-                state["x"], state["f"], state["stall"] = x.copy(), f, 0
-            else:
-                state["stall"] += 1
-                if state["stall"] >= cfg.stall_evals:
-                    raise _Stagnation
-            return f
-
-        try:
-            res = minimize(
-                tracked,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": cfg.max_iterations,
-                    "xatol": cfg.xatol,
-                    "fatol": cfg.fatol,
-                    "adaptive": True,
-                },
-            )
-            converged = bool(res.success)
-        except _Stagnation:
-            converged = True  # stopped by the stagnation criterion
-        if state["f"] == 0.0:
-            # never saw a nondegenerate POVM along the way; fall back to
-            # the basis PVM, which is always valid
-            return _basis_start(d, m), 0.0, converged
-        return state["x"], state["f"], converged
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = [_basis_start(d, m)]
-    for child in seeds[1:]:
-        rng = np.random.default_rng(child)
-        starts.append(rng.standard_normal(m * block))
-
-    best_x, best_value, best_success = None, np.inf, False
-    restart_values = []
-    for x0 in starts:
-        x, value, converged = run_restart(x0)
-        restart_values.append(-value)
-        if value < best_value:
-            best_x, best_value, best_success = x, value, converged
-
-    best_povm = povm_from_factors(_factors_from_vector(best_x, d, m))
-    # the reported value always comes from the full dual-route evaluation
-    achieved = mutual_information(_joint_table(ev, best_povm))
-    return AccessibleInfoResult(
-        info=achieved,
-        povm=best_povm,
-        converged=best_success,
-        restart_values=restart_values,
-    )
+    return _accessible_information(_evaluate(attack), cfg)
 
 
 def holevo_bound(rho0: np.ndarray, rho1: np.ndarray, p) -> float:

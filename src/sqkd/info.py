@@ -19,15 +19,19 @@ def _clean_probabilities(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p log2 p over the entries of p that are at least 1e-15, unvalidated."""
+    nz = p[p >= ZERO_PROB]
+    return float(-(nz * np.log2(nz)).sum())
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0.
 
     Entries below 1e-15 are treated as exact zeros; entries below
     -1e-12 raise, anything in between is clamped to 0.
     """
-    p = _clean_probabilities(np.ravel(p), "probability vector")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return _entropy_bits(_clean_probabilities(np.ravel(p), "probability vector"))
 
 
 def validate_joint(table, name: str = "joint distribution") -> np.ndarray:

@@ -78,6 +78,12 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(eigs[-1], 0.0)))
 
 
+def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
+    """The unitary exp(i h) of a Hermitian h, from its eigendecomposition."""
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(1j * w)) @ dagger(q)
+
+
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed random unitary of the given dimension.
 

@@ -84,7 +84,9 @@ def test_run_with_optimized_povm(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["info"] >= 1.0 - 1e-6
-    assert "optimizer" in doc and len(doc["optimizer"]["restart_values"]) == 2
+    optimizer = doc["optimizer"]
+    assert len(optimizer["restart_values"]) == len(optimizer["stop_reasons"]) == 2
+    assert set(optimizer["stop_reasons"]) <= {"flat", "step", "iterations"}
 
 
 def test_sweep_header_and_grid(capsys, tmp_path):
@@ -132,7 +134,14 @@ def test_optimize_rejects_zero_trials(capsys):
     assert "--trials" in err
 
 
-def test_optimize_small_budget(capsys, tmp_path):
+def test_optimize_small_budget(capsys, tmp_path, monkeypatch):
+    # the attack-space search scores candidates without the full report;
+    # only the winner is verified
+    from sqkd import cli
+
+    reports = []
+    verify = cli.verify_tradeoff
+    monkeypatch.setattr(cli, "verify_tradeoff", lambda *a: reports.append(a) or verify(*a))
     out_path = tmp_path / "opt.json"
     code, _, _ = run_cli(
         capsys, "optimize", "--trials", "1", "--restarts", "1", "--seed", "5",
@@ -143,6 +152,7 @@ def test_optimize_small_budget(capsys, tmp_path):
     check_report_dict(doc["report"])
     assert doc["report"]["holds"] is True
     assert len(doc["restart_objectives"]) == 1
+    assert len(reports) == 1
 
 
 def test_optimize_max_info_objective(capsys, tmp_path):
@@ -189,6 +199,12 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "violations=0" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy_submodules():
+    code = "import sys, sqkd.cli; print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_suite_rejected():

@@ -4,10 +4,14 @@ import pytest
 from sqkd import linalg
 from sqkd.attacks import named_attack, random_attack
 from sqkd.eavesdropper import OptimizerConfig, accessible_information, holevo_bound
+from sqkd.info import mutual_information
 from sqkd.povm import DegeneracyError, Povm, basis_povm, povm_from_factors
 from sqkd.protocol import AttackModel, eve_information, sift_branch
 
 HOLEVO_ZERO_PLUS = 0.6008760366928561  # {|0>, |+>} equiprobable, frozen analytic value
+# info the earlier Nelder-Mead search reached on random_attack(d, s), 8 restarts, seed 0
+NELDER_MEAD_INFO = {(3, 1): 0.188, (3, 5): 0.180, (4, 1): 0.184, (4, 5): 0.049}
+STOP_REASONS = {"flat", "step", "iterations"}
 
 
 def crafted_zero_plus_attack():
@@ -128,11 +132,82 @@ def test_zero_disturbance_attack_yields_zero_information():
     assert result.info <= 1e-6
 
 
+def helstrom_information(attack) -> float:
+    """I(A:E) of the projectors onto the positive and non-positive parts of
+    p_a(0) rho_0 - p_a(1) rho_1."""
+    out = sift_branch(attack)
+    tau = [out.p_a[z] * out.rho_eve[z] for z in (0, 1)]
+    w, vecs = np.linalg.eigh(tau[0] - tau[1])
+    pos = vecs[:, w > 0]
+    proj = pos @ pos.conj().T
+    elements = (proj, np.eye(len(w)) - proj)
+    return mutual_information([[np.trace(t @ e).real for e in elements] for t in tau])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(d, s) for d in (2, 3, 4) for s in (1, 5)] + ["partial-return-cz(0.7)", "partial-forward-cnot(0.4)"],
+    ids=str,
+)
+def test_accessible_information_between_helstrom_and_holevo(case):
+    # case: (d, seed) of a random attack, or a named attack
+    attack = named_attack(case) if isinstance(case, str) else random_attack(*case)
+    result = accessible_information(attack, OptimizerConfig(restarts=8, seed=0))
+    out = sift_branch(attack)
+    chi = holevo_bound(out.rho_eve[0], out.rho_eve[1], out.p_a)
+    assert result.info >= helstrom_information(attack) - 1e-9
+    assert result.info <= chi + 1e-9
+    assert result.info >= NELDER_MEAD_INFO.get(case, 0.0)
+    assert len(result.stop_reasons) == len(result.restart_values) == 8
+    assert set(result.stop_reasons) <= STOP_REASONS
+
+
+def test_accessible_information_never_drops_along_a_start():
+    # the run capped at k steps is the first k steps of every longer run
+    attack = random_attack(3, 5)
+    trajectories = np.array([
+        accessible_information(attack, OptimizerConfig(restarts=3, seed=4, max_iterations=k)).restart_values
+        for k in range(40)
+    ])
+    assert np.all(np.diff(trajectories, axis=0) >= 0.0)
+    assert np.all(trajectories[-1] > trajectories[0])
+
+
+def test_accessible_information_stop_reasons():
+    capped = accessible_information(random_attack(3, 5), OptimizerConfig(restarts=4, max_iterations=1))
+    assert capped.stop_reasons == ["iterations"] * 4
+    # orthogonal conditional states: every start is at 1 bit after its first step
+    flat = accessible_information(named_attack("forward-cnot"), OptimizerConfig(restarts=3))
+    assert flat.stop_reasons == ["flat"] * 3
+
+
+def degenerate_sift_attack():
+    """A Hadamard on the qubit before Alice: she always reads 0, so p_a(1) = 0."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    u = linalg.haar_unitary(4, 5)
+    return AttackModel(2, linalg.basis_state(2, 0), linalg.tensor(h, np.eye(2)), u)
+
+
+@pytest.mark.parametrize("attack", [random_attack(1, 3), degenerate_sift_attack()], ids=["d=1", "p_a(1)=0"])
+def test_accessible_information_edge_cases(attack):
+    with np.errstate(all="raise"):
+        result = accessible_information(attack, OptimizerConfig(restarts=4, seed=1))
+    assert result.info <= 1e-9
+    result.povm.validate()
+    assert result.povm.outcome_count == max(2, attack.ancilla_dim ** 2)
+
+
+def test_degenerate_sift_attack_has_an_empty_branch():
+    assert sift_branch(degenerate_sift_attack()).degenerate == (False, True)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0).validate()
     with pytest.raises(ValueError):
         OptimizerConfig(outcome_count=1).validate()
+    with pytest.raises(ValueError, match="below the ancilla dimension"):
+        accessible_information(random_attack(3, 1), OptimizerConfig(outcome_count=2))
 
 
 def test_holevo_identical_states():
