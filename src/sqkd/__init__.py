@@ -3,7 +3,7 @@ key-distribution protocol with classical Alice."""
 
 __version__ = "0.1.0"
 
-from .attacks import FAMILIES, AttackFamily, named_attack, parameterized_attack, random_attack
+from .attacks import FAMILIES, named_attack, parameterized_attack, random_attack
 from .eavesdropper import (
     AccessibleInfoResult,
     OptimizerConfig,
@@ -36,7 +36,6 @@ from .tradeoff import (
 
 __all__ = [
     "AccessibleInfoResult",
-    "AttackFamily",
     "AttackModel",
     "DegeneracyError",
     "FAMILIES",

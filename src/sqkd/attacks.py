@@ -1,7 +1,6 @@
 """Named attacks, parameterized attack families, and random attack sampling."""
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,38 +34,55 @@ def _involutory_power(gate: np.ndarray, t: float) -> np.ndarray:
     return np.eye(gate.shape[0], dtype=complex) + (np.exp(1j * np.pi * t) - 1.0) * p
 
 
-def named_attack(name: str, theta: float | None = None) -> AttackModel:
-    """Look up an attack fixture by name.
+def _forward(v: np.ndarray) -> AttackModel:
+    """Eve acts on the way to Alice only, with omega = |0>."""
+    return AttackModel(2, linalg.basis_state(2, 0), v, np.eye(4, dtype=complex))
 
-    Accepted names: identity, forward-cnot, return-cz,
-    partial-forward-cnot(theta), partial-return-cz(theta).  The partial
-    families take theta in [0, pi/2]; theta may be embedded in the name
+
+def _returning(u: np.ndarray) -> AttackModel:
+    """Eve acts on the way back only, with omega = |+>."""
+    return AttackModel(2, linalg.ket_plus(), np.eye(4, dtype=complex), u)
+
+
+_FIXED = {
+    "identity": lambda: _forward(np.eye(4, dtype=complex)),
+    "forward-cnot": lambda: _forward(_cnot()),
+    "return-cz": lambda: _returning(_cz()),
+}
+
+FAMILIES = {
+    "partial-forward-cnot": lambda theta: _forward(_involutory_power(_cnot(), theta / (np.pi / 2))),
+    "partial-return-cz": lambda theta: _returning(_involutory_power(_cz(), theta / (np.pi / 2))),
+}
+"""Family name -> theta-builder: theta = 0 is no attack, theta = pi/2 the full gate."""
+
+NAMES = (*_FIXED, *FAMILIES)
+
+
+def named_attack(name: str, theta: float | None = None) -> AttackModel:
+    """Build an attack by name: one of NAMES.
+
+    The fixed attacks (identity, forward-cnot, return-cz) take no theta;
+    the FAMILIES take theta in [0, pi/2], embedded in the name
     ("partial-return-cz(0.3)") or passed separately.
     """
     m = _NAME_WITH_ARG.match(name.strip())
     if m:
         if theta is not None:
             raise ValueError("theta given both inline and as an argument")
-        name, theta = m.group(1), float(m.group(2))
-
-    eye4 = np.eye(4, dtype=complex)
-    e0 = linalg.basis_state(2, 0)
-    if name == "identity":
-        return AttackModel(2, e0, eye4, eye4)
-    if name == "forward-cnot":
-        return AttackModel(2, e0, _cnot(), eye4)
-    if name == "return-cz":
-        return AttackModel(2, linalg.ket_plus(), eye4, _cz())
-    if name in ("partial-forward-cnot", "partial-return-cz"):
-        if theta is None:
-            raise ValueError(f"attack {name!r} needs a theta parameter")
-        if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-            raise ValueError(f"theta {theta!r} outside [0, pi/2]")
-        t = theta / (np.pi / 2)
-        if name == "partial-forward-cnot":
-            return AttackModel(2, e0, _involutory_power(_cnot(), t), eye4)
-        return AttackModel(2, linalg.ket_plus(), eye4, _involutory_power(_cz(), t))
-    raise ValueError(f"unknown attack name {name!r}")
+        name, theta = m.group(1), m.group(2)
+    if name in _FIXED:
+        if theta is not None:
+            raise ValueError(f"attack {name!r} takes no theta")
+        return _FIXED[name]()
+    if name not in FAMILIES:
+        raise ValueError(f"unknown attack name {name!r}; known: {list(NAMES)}")
+    if theta is None:
+        raise ValueError(f"attack {name!r} needs a theta parameter")
+    theta = float(theta)
+    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
+        raise ValueError(f"theta {theta!r} outside [0, pi/2]")
+    return FAMILIES[name](theta)
 
 
 def random_attack(d: int, seed) -> AttackModel:
@@ -110,38 +126,3 @@ def parameterized_attack(params, d: int) -> AttackModel:
     h_v = hermitian_from_params(params[: n * n], n)
     h_u = hermitian_from_params(params[n * n:], n)
     return AttackModel(d, linalg.basis_state(d, 0), linalg.exp_i_hermitian(h_v), linalg.exp_i_hermitian(h_u))
-
-
-@dataclass(frozen=True)
-class AttackFamily:
-    """A smooth map from a bounded real parameter vector to attacks."""
-
-    name: str
-    param_count: int
-    builder: object
-    param_bounds: tuple
-
-    def build(self, params) -> AttackModel:
-        params = np.atleast_1d(np.asarray(params, dtype=float))
-        if params.shape != (self.param_count,):
-            raise ValueError(f"family {self.name} takes {self.param_count} parameters")
-        for value, (lo, hi) in zip(params, self.param_bounds):
-            if not lo <= value <= hi:
-                raise ValueError(f"parameter {value!r} outside [{lo}, {hi}] for family {self.name}")
-        return self.builder(*params)
-
-
-FAMILIES = {
-    "partial-forward-cnot": AttackFamily(
-        name="partial-forward-cnot",
-        param_count=1,
-        builder=lambda theta: named_attack("partial-forward-cnot", theta),
-        param_bounds=((0.0, np.pi / 2),),
-    ),
-    "partial-return-cz": AttackFamily(
-        name="partial-return-cz",
-        param_count=1,
-        builder=lambda theta: named_attack("partial-return-cz", theta),
-        param_bounds=((0.0, np.pi / 2),),
-    ),
-}

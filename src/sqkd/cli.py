@@ -14,7 +14,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .attacks import FAMILIES, named_attack, parameterized_attack
+from .attacks import FAMILIES, NAMES, named_attack, parameterized_attack
 from .eavesdropper import OptimizerConfig, _accessible_information, accessible_information, holevo_bound
 from .povm import basis_povm
 from .protocol import _evaluate
@@ -29,7 +29,6 @@ from .serialize import (
 from .suites import SUITE_NAMES, run_suite
 from .tradeoff import tradeoff_bound, verify_tradeoff
 
-NAMED_ATTACKS = ("identity", "forward-cnot", "return-cz")
 SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
 RESTARTS_HELP = ("POVM optimizer starts: the eigenbasis of p_a(0) rho_0 - p_a(1) rho_1, "
                  "the computational basis, then random POVMs seeded by --seed")
@@ -43,22 +42,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _parse_param_value(raw: str) -> tuple[str, float]:
-    key, _, value = raw.partition("=")
+def _family_theta(args, form: str) -> str:
+    """Check --family and its --param theta=<form>; returns the text after "theta="."""
+    if args.family not in FAMILIES:
+        raise ValueError(f"unknown family {args.family!r}; known: {sorted(FAMILIES)}")
+    key, _, value = (args.param or "").partition("=")
     if not key or not value:
-        raise ValueError(f"expected --param name=value, got {raw!r}")
-    return key, float(value)
-
-
-def _parse_param_grid(raw: str) -> tuple[str, np.ndarray]:
-    key, _, value = raw.partition("=")
-    parts = value.split(":")
-    if not key or len(parts) != 3:
-        raise ValueError(f"expected --param name=start:stop:count, got {raw!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError(f"grid count must be >= 1, got {count}")
-    return key, np.linspace(start, stop, count)
+        raise ValueError(f"expected --param theta={form}, got {args.param!r}")
+    if key != "theta":
+        raise ValueError(f"family {args.family} has no parameter {key!r}")
+    return value
 
 
 def _resolve_attack(args) -> tuple:
@@ -67,20 +60,13 @@ def _resolve_attack(args) -> tuple:
         raise ValueError("give exactly one attack source: --attack or --family")
     if args.attack is not None:
         name = args.attack
-        if name in NAMED_ATTACKS or name.split("(")[0] in FAMILIES:
+        if name.split("(")[0] in NAMES:
             return named_attack(name), name
         if Path(name).exists():
             return parse_attack_file(name), {"file": name}
         raise ValueError(f"--attack {name!r} is neither a known attack name nor an existing file")
-    family = FAMILIES.get(args.family)
-    if family is None:
-        raise ValueError(f"unknown family {args.family!r}; known: {sorted(FAMILIES)}")
-    if not args.param:
-        raise ValueError("--family needs --param name=value")
-    key, value = _parse_param_value(args.param)
-    if key != "theta":
-        raise ValueError(f"family {family.name} has no parameter {key!r}")
-    return family.build([value]), {"family": family.name, "theta": value}
+    theta = float(_family_theta(args, "value"))
+    return named_attack(args.family, theta), {"family": args.family, "theta": theta}
 
 
 def _report_body(report, found) -> tuple[dict, list | None]:
@@ -135,25 +121,24 @@ def cmd_run(args) -> int:
     return 0 if report.holds else 1
 
 
-def _sweep_row(args, family, theta: float) -> str:
-    attack = family.build([theta])
+def _sweep_row(args, theta: float) -> str:
+    attack = named_attack(args.family, theta)
     eve_povm, _, _ = _resolve_povm(args.povm, attack, args)
     rep = verify_tradeoff(attack, eve_povm)
-    cells = [family.name, _fmt(theta), _fmt(rep.p_ctrl), _fmt(rep.p_sift),
+    cells = [args.family, _fmt(theta), _fmt(rep.p_ctrl), _fmt(rep.p_sift),
              _fmt(rep.info), _fmt(rep.rhs), _fmt(rep.gap),
              "true" if rep.holds else "false"]
     return ",".join(cells)
 
 
 def cmd_sweep(args) -> int:
-    if args.family not in FAMILIES:
-        raise ValueError(f"unknown family {args.family!r}; known: {sorted(FAMILIES)}")
-    if not args.param:
-        raise ValueError("sweep needs --param name=start:stop:count")
-    key, thetas = _parse_param_grid(args.param)
-    if key != "theta":
-        raise ValueError(f"family {args.family} has no parameter {key!r}")
-    rows = [_sweep_row(args, FAMILIES[args.family], float(theta)) for theta in thetas]
+    parts = _family_theta(args, "start:stop:count").split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected --param theta=start:stop:count, got {args.param!r}")
+    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if count < 1:
+        raise ValueError(f"grid count must be >= 1, got {count}")
+    rows = [_sweep_row(args, float(theta)) for theta in np.linspace(start, stop, count)]
     text = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -281,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep a family parameter grid to CSV")
     p_sweep.add_argument("--family", required=True, help="attack family name")
-    p_sweep.add_argument("--param", required=True, help="grid, e.g. theta=0:1.5708:100")
+    p_sweep.add_argument("--param", required=True, help="grid, e.g. theta=0:1.5707963:100")
     p_sweep.add_argument("--povm", default="z", help="'z', 'x', 'optimize', or a POVM JSON file")
     p_sweep.add_argument("--restarts", type=int, default=8, help=RESTARTS_HELP)
     common(p_sweep)

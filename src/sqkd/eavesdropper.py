@@ -41,22 +41,18 @@ SINGULAR_TOL = 1e-6  # Lambda is near-singular below this eigenvalue ratio
 class OptimizerConfig:
     """Knobs for the POVM search.
 
-    outcome_count is the number m of rank-one outcomes, by default
-    max(2, d^2), enough for the accessible information of an ensemble in
-    dimension d; it must be at least d.  restarts counts the starts (the
-    eigenbasis start, the computational basis, then random POVMs seeded
-    from `seed`), and max_iterations bounds the steps tried from each
-    start, kept or not.
+    restarts counts the starts (the eigenbasis start, the computational
+    basis, then random POVMs seeded from `seed`), and max_iterations
+    bounds the steps tried from each start, kept or not.  The POVM has
+    m = max(2, d^2) rank-one outcomes, enough for the accessible
+    information of an ensemble in dimension d.
     """
 
-    outcome_count: int | None = None
     restarts: int = 32
     max_iterations: int = 2000
     seed: int = 0
 
     def validate(self) -> None:
-        if self.outcome_count is not None and self.outcome_count < 2:
-            raise ValueError(f"outcome_count must be >= 2, got {self.outcome_count}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
@@ -137,9 +133,7 @@ def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None)
     cfg = cfg or OptimizerConfig()
     cfg.validate()
     d = ev.attack.ancilla_dim
-    m = cfg.outcome_count or max(2, d * d)
-    if m < d:
-        raise ValueError(f"outcome_count {m} is below the ancilla dimension {d}")
+    m = max(2, d * d)
     tau = np.stack([ev.sift.p_a[z] * ev.sift.rho_eve[z] for z in (0, 1)])
 
     best_v, best_info = None, -np.inf

@@ -14,10 +14,6 @@ TOL_POSITIVE = 1e-10
 EIG_CLAMP = 1e-12
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in the given dimension."""
     if not 0 <= index < dim:
@@ -144,15 +140,6 @@ def is_positive(m: np.ndarray, tol: float = TOL_POSITIVE) -> bool:
     if not is_hermitian(m, tol):
         return False
     return bool(np.linalg.eigvalsh(m)[0] >= -tol)
-
-
-def is_projector(m: np.ndarray, tol: float = TOL_POSITIVE) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
-
-
-def is_density(m: np.ndarray, tol: float = TOL_POSITIVE) -> bool:
-    return is_positive(m, tol) and abs(np.trace(m).real - 1.0) <= tol
 
 
 def clamp_probability(x: float, tol: float = EIG_CLAMP) -> float:

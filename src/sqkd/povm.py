@@ -7,7 +7,6 @@ import numpy as np
 from . import linalg
 
 COMPLETENESS_TOL = 1e-9
-POSITIVITY_TOL = 1e-10
 FACTOR_SINGULAR_TOL = 1e-12
 
 
@@ -47,8 +46,8 @@ class Povm:
         for i, e in enumerate(self.elements):
             if e.shape != (d, d):
                 raise ValueError(f"POVM element {i} has shape {e.shape}, expected {(d, d)}")
-            if not linalg.is_positive(e, POSITIVITY_TOL):
-                raise ValueError(f"POVM element {i} is not positive within {POSITIVITY_TOL}")
+            if not linalg.is_positive(e, linalg.TOL_POSITIVE):
+                raise ValueError(f"POVM element {i} is not positive within {linalg.TOL_POSITIVE}")
             total += e
         dev = float(np.max(np.abs(total - np.eye(d))))
         if dev > COMPLETENESS_TOL:

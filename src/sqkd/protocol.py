@@ -23,7 +23,8 @@ CROSS_CHECK_TOL = 1e-12
 @dataclass(frozen=True)
 class AttackModel:
     """Eve's attack: ancilla dimension, initial ancilla state, and the
-    forward (V) and return (U) unitaries on the joint space."""
+    forward (V) and return (U) unitaries on the joint space.  Validated
+    on construction."""
 
     ancilla_dim: int
     omega: np.ndarray
@@ -34,6 +35,7 @@ class AttackModel:
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=complex))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=complex))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=complex))
+        self.validate()
 
     def validate(self) -> None:
         d = self.ancilla_dim
@@ -94,8 +96,7 @@ class _Evaluation:
 
 
 def _evaluate(attack: AttackModel) -> _Evaluation:
-    """Validate the attack and evaluate the CTRL and SIFT branches once."""
-    attack.validate()
+    """Evaluate the CTRL and SIFT branches of a (validated) attack once."""
     d = attack.ancilla_dim
     u = attack.u
     psi = _prepared_state(attack)
@@ -185,7 +186,7 @@ def sift_error_operator(attack: AttackModel) -> float:
     """P_SIFT via the operator identity
     <Psi| Z_0 U^dag Z_1 U Z_0 |Psi> + <Psi| Z_1 U^dag Z_0 U Z_1 |Psi>,
     evaluated with explicit projector matrices (independent of the
-    branch bookkeeping in sift_branch).  It does not validate the attack."""
+    branch bookkeeping in sift_branch)."""
     d = attack.ancilla_dim
     psi = _prepared_state(attack)
     eye_k = np.eye(d, dtype=complex)

@@ -61,14 +61,12 @@ def attack_from_dict(doc: dict) -> AttackModel:
     for key in ("ancilla_dim", "omega", "v", "u"):
         if key not in doc:
             raise ValueError(f"attack document is missing the {key!r} field")
-    attack = AttackModel(
+    return AttackModel(
         ancilla_dim=int(doc["ancilla_dim"]),
         omega=_pairs_to_vector(doc["omega"], "omega"),
         v=_pairs_to_matrix(doc["v"], "v"),
         u=_pairs_to_matrix(doc["u"], "u"),
     )
-    attack.validate()
-    return attack
 
 
 def povm_to_dict(eve_povm: Povm) -> dict:

@@ -12,10 +12,8 @@ import numpy as np
 from .attacks import random_attack
 from .info import mutual_information
 from .povm import Povm, random_povm
-from .protocol import AttackModel, _evaluate, _joint_table
+from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, _joint_table
 from .tradeoff import SLACK_TOL, fidelity_information_bound, povm_overlap_slack, proof_chain, tradeoff_bound
-
-EQUALITY_TOL = 1e-12
 
 SUITE_NAMES = ("lemma1", "lemma2", "theorem", "proof-chain")
 
@@ -113,7 +111,7 @@ def run_suite(suite: str, trials: int, seed: int) -> SuiteResult:
     worst = int(np.argmin(slacks))
     violations = int((slacks < SLACK_TOL).sum())
     if suite == "proof-chain":
-        violations += int((np.asarray(residuals) > EQUALITY_TOL).sum())
+        violations += int((np.asarray(residuals) > CROSS_CHECK_TOL).sum())
     return SuiteResult(
         suite=suite,
         trials=trials,

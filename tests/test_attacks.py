@@ -60,17 +60,31 @@ def test_partial_theta_out_of_range():
 def test_family_builders_are_continuous():
     delta = 1e-6
     slope_bound = 10.0
-    for family in FAMILIES.values():
+    for name in FAMILIES:
         for theta in np.linspace(0.0, np.pi / 2 - delta, 7):
-            a = family.build([theta])
-            b = family.build([theta + delta])
+            a = named_attack(name, theta)
+            b = named_attack(name, theta + delta)
             for m_a, m_b in ((a.v, b.v), (a.u, b.u)):
                 assert np.max(np.abs(m_a - m_b)) <= slope_bound * delta
 
 
 def test_family_rejects_out_of_bounds():
     with pytest.raises(ValueError, match="outside"):
-        FAMILIES["partial-forward-cnot"].build([3.2])
+        named_attack("partial-forward-cnot", 3.2)
+
+
+def test_range_errors_print_plain_floats():
+    with pytest.raises(ValueError, match=r"^theta 1\.6 outside") as info:
+        named_attack("partial-return-cz", np.float64(1.6))
+    assert "np.float64" not in str(info.value)
+
+
+def test_fixed_attacks_reject_theta():
+    for name in ("identity", "forward-cnot", "return-cz"):
+        with pytest.raises(ValueError, match="takes no theta"):
+            named_attack(f"{name}(0.3)")
+        with pytest.raises(ValueError, match="takes no theta"):
+            named_attack(name, 0.3)
 
 
 def test_random_attack_determinism_and_validity():

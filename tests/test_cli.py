@@ -1,7 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
+import pytest
+
+from sqkd import protocol
 from sqkd.attacks import random_attack
 from sqkd.cli import main
 from sqkd.serialize import attack_to_dict, check_report_dict, write_document
@@ -110,6 +114,44 @@ def test_sweep_rejects_bad_grid(capsys):
     )
     assert code == 2
     assert "start:stop:count" in err
+
+
+def test_sweep_help_example_runs(capsys):
+    with pytest.raises(SystemExit, match="0"):
+        main(["sweep", "--help"])
+    grid = re.search(r"theta=[0-9.]+:[0-9.]+:[0-9]+", capsys.readouterr().out).group(0)
+    code, out, _ = run_cli(capsys, "sweep", "--family", "partial-return-cz",
+                           "--param", grid.rsplit(":", 1)[0] + ":3")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 4
+
+
+def test_theta_routes_agree(capsys, tmp_path):
+    edge = "1.5707963267949"  # pi/2 + 3.4e-15, inside the 1e-12 slack
+    docs = []
+    for argv in (["--attack", f"partial-return-cz({edge})"],
+                 ["--family", "partial-return-cz", "--param", f"theta={edge}"]):
+        out_path = tmp_path / "report.json"
+        assert run_cli(capsys, "run", *argv, "--out", str(out_path))[0] == 0
+        doc = json.loads(out_path.read_text())
+        doc.pop("attack_source")
+        docs.append(write_document(doc))
+    assert docs[0] == docs[1]
+    for argv in (["--attack", "partial-return-cz(1.6)"],
+                 ["--family", "partial-return-cz", "--param", "theta=1.6"]):
+        code, _, err = run_cli(capsys, "run", *argv)
+        assert code == 2
+        assert "theta 1.6 outside" in err
+
+
+def test_run_attack_file_is_validated_once(capsys, tmp_path, monkeypatch):
+    attack_path = tmp_path / "attack.json"
+    write_document(attack_to_dict(random_attack(3, 4)), attack_path)
+    calls = []
+    validate = protocol.AttackModel.validate
+    monkeypatch.setattr(protocol.AttackModel, "validate", lambda self: calls.append(1) or validate(self))
+    assert run_cli(capsys, "run", "--attack", str(attack_path))[0] == 0
+    assert len(calls) == 1
 
 
 def test_verify_exit_zero_and_summary(capsys):

@@ -204,10 +204,6 @@ def test_degenerate_sift_attack_has_an_empty_branch():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0).validate()
-    with pytest.raises(ValueError):
-        OptimizerConfig(outcome_count=1).validate()
-    with pytest.raises(ValueError, match="below the ancilla dimension"):
-        accessible_information(random_attack(3, 1), OptimizerConfig(outcome_count=2))
 
 
 def test_holevo_identical_states():

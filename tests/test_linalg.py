@@ -125,10 +125,6 @@ def test_haar_unitary_first_moment():
 
 
 def test_validity_checks():
-    assert linalg.is_projector(linalg.projector(linalg.ket_plus()))
-    assert not linalg.is_projector(0.5 * np.eye(2))
-    assert linalg.is_density(np.eye(3) / 3)
-    assert not linalg.is_density(np.eye(3))
     assert linalg.is_positive(np.diag([0.0, 1.0]))
     assert not linalg.is_positive(np.diag([-0.1, 1.0]))
     with pytest.raises(ValueError, match="deviation"):

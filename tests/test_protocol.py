@@ -40,9 +40,8 @@ def test_forward_state_stays_normalized():
 
 
 def test_forward_state_rejects_invalid_attack():
-    bad = AttackModel(2, linalg.basis_state(2, 0), 1.1 * np.eye(4), np.eye(4))
     with pytest.raises(ValueError, match="unitary"):
-        forward_state(bad)
+        forward_state(AttackModel(2, linalg.basis_state(2, 0), 1.1 * np.eye(4), np.eye(4)))
 
 
 @pytest.mark.parametrize(

@@ -185,7 +185,7 @@ def test_bound_chain_on_random_instances():
 
 
 def test_verify_tradeoff_evaluates_the_attack_once(monkeypatch):
-    attack, eve = random_attack(3, 11), random_povm(3, 5, 12)
+    eve = random_povm(3, 5, 12)
     calls = {"validate": 0, "sift_error_operator": 0}
     validate, operator_route = protocol.AttackModel.validate, protocol.sift_error_operator
 
@@ -199,7 +199,7 @@ def test_verify_tradeoff_evaluates_the_attack_once(monkeypatch):
 
     monkeypatch.setattr(protocol.AttackModel, "validate", counted_validate)
     monkeypatch.setattr(protocol, "sift_error_operator", counted_operator_route)
-    verify_tradeoff(attack, eve)
+    verify_tradeoff(random_attack(3, 11), eve)
     assert calls == {"validate": 1, "sift_error_operator": 1}
 
 
