@@ -7,6 +7,7 @@ document.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -69,18 +70,6 @@ def _resolve_attack(args) -> tuple:
     return named_attack(args.family, theta), {"family": args.family, "theta": theta}
 
 
-def _report_body(report, found) -> tuple[dict, list | None]:
-    """A document's "report" section and, unless the POVM optimizer result `found`
-    is None, Eve's information interval: `found.info` up to the Holevo ceiling."""
-    body = report_to_dict(report)
-    sift = report.sift
-    body["p_a"] = sift.p_a.tolist()
-    body["joint"] = report.joint.tolist()
-    if found is None:
-        return body, None
-    return body, [found.info, holevo_bound(sift.rho_eve[0], sift.rho_eve[1], sift.p_a)]
-
-
 def _resolve_povm(source: str, attack, args):
     """POVM from a named basis, a file, or the optimizer (with its result)."""
     if source in ("z", "x"):
@@ -98,7 +87,6 @@ def cmd_run(args) -> int:
     attack, attack_source = _resolve_attack(args)
     eve_povm, povm_source, found = _resolve_povm(args.povm, attack, args)
     report = verify_tradeoff(attack, eve_povm)
-    body, info_interval = _report_body(report, found)
     doc = {
         "command": "run",
         "versions": _versions(),
@@ -107,13 +95,13 @@ def cmd_run(args) -> int:
         "povm_source": povm_source,
         "ancilla_dim": attack.ancilla_dim,
         "povm": povm_to_dict(eve_povm),
-        "report": body,
+        "report": report_to_dict(report),
     }
     if found is not None:
         doc["optimizer"] = {
             "stop_reasons": found.stop_reasons,
             "restart_values": [float(v) for v in found.restart_values],
-            "info_interval": info_interval,
+            "info_interval": [found.info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)],
         }
     text = write_document(doc, args.out)
     if args.out is None:
@@ -190,7 +178,6 @@ def cmd_optimize(args) -> int:
     final_cfg = OptimizerConfig(restarts=max(8, args.restarts), seed=args.seed)
     final = accessible_information(best_attack, final_cfg)
     report = verify_tradeoff(best_attack, final.povm)
-    body, info_interval = _report_body(report, final)
     doc = {
         "command": "optimize",
         "versions": _versions(),
@@ -203,10 +190,10 @@ def cmd_optimize(args) -> int:
         "best_objective": best_score,
         "restart_objectives": restart_stats,
         "info_rhs_ratio": report.info / report.rhs if report.rhs > 1e-15 else 0.0,
-        "info_interval": info_interval,
+        "info_interval": [final.info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)],
         "attack": attack_to_dict(best_attack),
         "povm": povm_to_dict(final.povm),
-        "report": body,
+        "report": report_to_dict(report),
     }
     text = write_document(doc, args.out)
     if args.out is None:
@@ -216,30 +203,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     result = run_suite(args.suite, args.trials, args.seed)
-    summary = {
-        "command": "verify",
-        "versions": _versions(),
-        "suite": result.suite,
-        "trials": result.trials,
-        "seed": result.seed,
-        "violations": result.violations,
-        "min_slack": result.min_slack,
-        "worst_trial": result.worst_trial,
-    }
-    if result.max_equality_residual is not None:
-        summary["max_equality_residual"] = result.max_equality_residual
-    if result.max_info_ratio is not None:
-        summary["max_info_ratio"] = result.max_info_ratio
-    line = (
-        f"suite={result.suite} trials={result.trials} seed={result.seed} "
-        f"violations={result.violations} min_slack={result.min_slack!r} "
-        f"worst_trial={result.worst_trial}"
-    )
-    if result.max_equality_residual is not None:
-        line += f" max_equality_residual={result.max_equality_residual!r}"
-    sys.stdout.write(line + "\n")
+    fields = {k: v for k, v in dataclasses.asdict(result).items() if v is not None}
+    sys.stdout.write(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
     if args.out is not None:
-        write_document(summary, args.out)
+        write_document({"command": "verify", "versions": _versions(), **fields}, args.out)
     return 0 if result.passed else 1
 
 

@@ -52,6 +52,9 @@ class OptimizerConfig:
     max_iterations: int = 2000
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
@@ -131,7 +134,6 @@ def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> list:
 def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
     """accessible_information of an evaluated attack."""
     cfg = cfg or OptimizerConfig()
-    cfg.validate()
     d = ev.attack.ancilla_dim
     m = max(2, d * d)
     tau = np.stack([ev.sift.p_a[z] * ev.sift.rho_eve[z] for z in (0, 1)])

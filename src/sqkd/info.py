@@ -13,8 +13,8 @@ def _clean_probabilities(p: np.ndarray, name: str) -> np.ndarray:
     if p.size and p.min() < -NEG_PROB_TOL:
         raise ValueError(f"{name} has a negative entry: {p.min():.3e}")
     p = np.where(p < ZERO_PROB, 0.0, p)
-    total = p.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    total = float(p.sum())
+    if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN entry makes the total NaN and fails
         raise ValueError(f"{name} sums to {total!r}, expected 1 within {PROB_SUM_TOL}")
     return p
 
@@ -53,10 +53,8 @@ def mutual_information(table) -> float:
     invalid table and raises.
     """
     t = validate_joint(table)
-    hx = shannon_entropy(t.sum(axis=1))
-    hy = shannon_entropy(t.sum(axis=0))
-    hxy = shannon_entropy(t)
-    mi = hx + hy - hxy
+    # the marginals of a validated table are valid distributions already
+    mi = _entropy_bits(t.sum(axis=1)) + _entropy_bits(t.sum(axis=0)) - _entropy_bits(t)
     if mi < -NEG_PROB_TOL:
         raise ValueError(f"mutual information came out significantly negative ({mi:.3e})")
     return max(mi, 0.0)

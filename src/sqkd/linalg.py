@@ -118,36 +118,36 @@ def unitary_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))))
 
 
-def check_unitary(m: np.ndarray, tol: float = TOL_UNITARY, name: str = "matrix") -> None:
+def check_unitary(m: np.ndarray, name: str = "matrix") -> None:
     dev = unitary_deviation(m)
-    if dev > tol:
+    if not dev <= TOL_UNITARY:  # NaN fails too
         raise ValueError(f"{name} is not unitary: max deviation of M^dag M from 1 is {dev:.3e}")
 
 
-def check_normalized(vec: np.ndarray, tol: float = TOL_NORM, name: str = "state") -> None:
-    norm2 = float(np.real(np.vdot(vec, vec)))
-    if abs(norm2 - 1.0) > tol:
-        raise ValueError(f"{name} is not normalized: squared norm deviates by {abs(norm2 - 1.0):.3e}")
+def check_normalized(vec: np.ndarray, name: str = "state") -> None:
+    dev = abs(float(np.real(np.vdot(vec, vec))) - 1.0)
+    if not dev <= TOL_NORM:  # NaN fails too
+        raise ValueError(f"{name} is not normalized: squared norm deviates by {dev:.3e}")
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_POSITIVE) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+    return bool(np.max(np.abs(m - dagger(m))) <= TOL_POSITIVE)
 
 
-def is_positive(m: np.ndarray, tol: float = TOL_POSITIVE) -> bool:
-    """Positive-semidefinite check: Hermitian with eigenvalues >= -tol."""
-    if not is_hermitian(m, tol):
+def is_positive(m: np.ndarray) -> bool:
+    """Positive-semidefinite check: Hermitian with eigenvalues >= -1e-10."""
+    if not is_hermitian(m):
         return False
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(m)[0] >= -TOL_POSITIVE)
 
 
-def clamp_probability(x: float, tol: float = EIG_CLAMP) -> float:
+def clamp_probability(x: float) -> float:
     """Clamp a numerically noisy probability into [0, 1].
 
-    Values within tol outside the interval are snapped to the boundary;
-    anything further out raises.
+    Values within 1e-12 outside the interval are snapped to the boundary;
+    anything further out, and NaN, raises.
     """
-    if x < -tol or x > 1.0 + tol:
-        raise ValueError(f"value {x!r} is not a probability up to tolerance {tol}")
+    if not -EIG_CLAMP <= x <= 1.0 + EIG_CLAMP:
+        raise ValueError(f"value {x!r} is not a probability up to tolerance {EIG_CLAMP}")
     return min(max(x, 0.0), 1.0)

@@ -46,7 +46,7 @@ class Povm:
         for i, e in enumerate(self.elements):
             if e.shape != (d, d):
                 raise ValueError(f"POVM element {i} has shape {e.shape}, expected {(d, d)}")
-            if not linalg.is_positive(e, linalg.TOL_POSITIVE):
+            if not linalg.is_positive(e):
                 raise ValueError(f"POVM element {i} is not positive within {linalg.TOL_POSITIVE}")
             total += e
         dev = float(np.max(np.abs(total - np.eye(d))))

@@ -113,10 +113,14 @@ def write_document(doc: dict, path=None) -> str:
 
 
 def report_to_dict(report) -> dict:
+    """The "report" section of a run/optimize document: both sides of the bound,
+    Alice's outcome distribution p_a, the joint table and the derivation trace."""
     trace = report.trace
     return {
         "p_ctrl": report.p_ctrl,
         "p_sift": report.p_sift,
+        "p_a": report.sift.p_a.tolist(),
+        "joint": report.joint.tolist(),
         "info": report.info,
         "rhs": report.rhs,
         "gap": report.gap,

@@ -15,8 +15,6 @@ from .povm import Povm, random_povm
 from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, _joint_table
 from .tradeoff import SLACK_TOL, fidelity_information_bound, povm_overlap_slack, proof_chain, tradeoff_bound
 
-SUITE_NAMES = ("lemma1", "lemma2", "theorem", "proof-chain")
-
 
 @dataclass
 class SuiteResult:
@@ -49,13 +47,13 @@ def sample_theorem_instance(child: np.random.SeedSequence) -> tuple[AttackModel,
     return random_attack(d, attack_seed), random_povm(d, m, povm_seed)
 
 
-def _lemma1_trial(child) -> float:
+def _lemma1_trial(child) -> tuple[float]:
     rng = np.random.default_rng(child)
     table = _random_joint(rng)
-    return fidelity_information_bound(table) - mutual_information(table)
+    return (fidelity_information_bound(table) - mutual_information(table),)
 
 
-def _lemma2_trial(child) -> float:
+def _lemma2_trial(child) -> tuple[float]:
     vec_seed, povm_seed = child.spawn(2)
     rng = np.random.default_rng(vec_seed)
     d = int(rng.integers(1, 5))
@@ -63,7 +61,7 @@ def _lemma2_trial(child) -> float:
     phi0 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
     phi1 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    return povm_overlap_slack(phi0, phi1, x, random_povm(d, m, povm_seed))
+    return (povm_overlap_slack(phi0, phi1, x, random_povm(d, m, povm_seed)),)
 
 
 def _theorem_trial(child) -> tuple[float, float]:
@@ -83,35 +81,33 @@ def _proof_chain_trial(child) -> tuple[float, float]:
     return min(one_sided), residual
 
 
+# suite name -> (trial, the SuiteResult field that reports the maximum of the
+# trial's second figure, the largest that figure may be without a violation);
+# every trial returns its slack first
+SUITES = {
+    "lemma1": (_lemma1_trial, None, None),
+    "lemma2": (_lemma2_trial, None, None),
+    "theorem": (_theorem_trial, "max_info_ratio", np.inf),
+    "proof-chain": (_proof_chain_trial, "max_equality_residual", CROSS_CHECK_TOL),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(suite: str, trials: int, seed: int) -> SuiteResult:
     """Run one named suite and aggregate violations deterministically."""
-    if suite not in SUITE_NAMES:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    children = np.random.SeedSequence(seed).spawn(trials)
-
-    if suite == "lemma1":
-        slacks = [_lemma1_trial(child) for child in children]
-        extra = {}
-    elif suite == "lemma2":
-        slacks = [_lemma2_trial(child) for child in children]
-        extra = {}
-    elif suite == "theorem":
-        pairs = [_theorem_trial(child) for child in children]
-        slacks = [p[0] for p in pairs]
-        extra = {"max_info_ratio": float(max(p[1] for p in pairs))}
-    else:
-        pairs = [_proof_chain_trial(child) for child in children]
-        slacks = [p[0] for p in pairs]
-        residuals = [p[1] for p in pairs]
-        extra = {"max_equality_residual": float(max(residuals))}
-
-    slacks = np.asarray(slacks, dtype=float)
+    trial, max_field, max_limit = SUITES[suite]
+    figures = np.array([trial(child) for child in np.random.SeedSequence(seed).spawn(trials)], dtype=float)
+    slacks = figures[:, 0]
     worst = int(np.argmin(slacks))
     violations = int((slacks < SLACK_TOL).sum())
-    if suite == "proof-chain":
-        violations += int((np.asarray(residuals) > CROSS_CHECK_TOL).sum())
+    extra = {}
+    if max_field is not None:
+        violations += int((figures[:, 1] > max_limit).sum())
+        extra[max_field] = float(figures[:, 1].max())
     return SuiteResult(
         suite=suite,
         trials=trials,

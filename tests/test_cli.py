@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -9,6 +10,7 @@ from sqkd import protocol
 from sqkd.attacks import random_attack
 from sqkd.cli import main
 from sqkd.serialize import attack_to_dict, check_report_dict, write_document
+from sqkd.suites import SUITE_NAMES, SuiteResult
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +80,20 @@ def test_run_rejects_corrupt_attack_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--attack", str(path))
     assert code == 2
     assert "deviation" in err
+
+
+def test_run_rejects_nan_attack_file(capsys, tmp_path, recwarn):
+    from sqkd.attacks import named_attack
+
+    doc = attack_to_dict(named_attack("identity"))
+    doc["v"][1][2] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, _, err = run_cli(capsys, "run", "--attack", str(path))
+    assert code == 2
+    assert "V is not unitary" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_run_with_optimized_povm(capsys):
@@ -158,6 +174,18 @@ def test_verify_exit_zero_and_summary(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1", "--trials", "200", "--seed", "11")
     assert code == 0
     assert out.startswith("suite=lemma1 trials=200 seed=11 violations=0")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_line_lists_the_document_fields(capsys, tmp_path, suite):
+    out_path = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--trials", "20", "--seed", "3",
+                           "--out", str(out_path))
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    names = [f.name for f in dataclasses.fields(SuiteResult) if f.name in doc]
+    assert set(doc) - set(names) == {"command", "versions"}
+    assert out == " ".join(f"{k}={doc[k]}" for k in names) + "\n"
 
 
 def test_verify_deterministic_output(capsys, tmp_path):

@@ -206,6 +206,11 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0).validate()
 
 
+def test_optimizer_config_validates_on_construction():
+    with pytest.raises(ValueError, match="restarts"):
+        OptimizerConfig(restarts=0)
+
+
 def test_holevo_identical_states():
     rho = linalg.random_density(3, 2)
     assert holevo_bound(rho, rho, [0.5, 0.5]) <= 1e-12

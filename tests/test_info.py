@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sqkd import info
 from sqkd.info import mutual_information, shannon_entropy, validate_joint, von_neumann_entropy
 
 # frozen with a 40-digit evaluation of the binary entropy formula
@@ -26,6 +27,21 @@ def test_shannon_entropy_rejects_bad_input():
         shannon_entropy([0.5, 0.4])
     # entries within the clamp window are fine
     assert shannon_entropy([1.0, -1e-13]) == 0.0
+
+
+def test_entropy_and_information_reject_nan():
+    with pytest.raises(ValueError, match="sums to nan"):
+        shannon_entropy([np.nan, 1.0])
+    with pytest.raises(ValueError, match="sums to nan"):
+        mutual_information([[np.nan, 0.5], [0.25, 0.25]])
+
+
+def test_mutual_information_validates_the_table_once(monkeypatch):
+    calls = []
+    clean = info._clean_probabilities
+    monkeypatch.setattr(info, "_clean_probabilities", lambda *a: calls.append(1) or clean(*a))
+    assert abs(mutual_information([[0.4, 0.1], [0.1, 0.4]]) - (1.0 - H_ONE_FIFTH)) <= 1e-15
+    assert len(calls) == 1
 
 
 def test_mutual_information_independent():

@@ -136,3 +136,12 @@ def test_clamp_probability():
     assert linalg.clamp_probability(1.0 + 1e-13) == 1.0
     with pytest.raises(ValueError):
         linalg.clamp_probability(1.1)
+
+
+def test_checks_reject_nan():
+    with pytest.raises(ValueError, match="nan"):
+        linalg.check_unitary(np.full((2, 2), np.nan), name="V")
+    with pytest.raises(ValueError, match="nan"):
+        linalg.check_normalized(np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="not a probability"):
+        linalg.clamp_probability(float("nan"))

@@ -44,6 +44,15 @@ def test_forward_state_rejects_invalid_attack():
         forward_state(AttackModel(2, linalg.basis_state(2, 0), 1.1 * np.eye(4), np.eye(4)))
 
 
+@pytest.mark.parametrize("field,name", [("omega", "omega"), ("v", "V"), ("u", "U")])
+def test_attack_rejects_nan_on_construction(field, name):
+    parts = {"omega": np.array([1.0, 0.0]), "v": np.eye(4), "u": np.eye(4)}
+    parts[field] = parts[field].astype(complex)
+    parts[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} is not"):
+        AttackModel(2, **parts)
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [("identity", 0.0), ("forward-cnot", 0.5), ("return-cz", 0.5)],

@@ -98,6 +98,13 @@ def test_report_schema_roundtrip(tmp_path):
     assert parsed["holds"] is True
 
 
+def test_report_carries_alice_marginal_and_joint():
+    report = verify_tradeoff(random_attack(3, 4), random_povm(3, 5, 2))
+    doc = report_to_dict(report)
+    assert doc["p_a"] == report.sift.p_a.tolist()
+    assert doc["joint"] == report.joint.tolist()
+
+
 def test_report_schema_rejects_inconsistent_gap():
     report = verify_tradeoff(named_attack("forward-cnot"), basis_povm(2, "z"))
     doc = report_to_dict(report)
