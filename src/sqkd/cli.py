@@ -18,7 +18,7 @@ from . import __version__
 from .attacks import FAMILIES, NAMES, named_attack, parameterized_attack
 from .eavesdropper import OptimizerConfig, _accessible_information, accessible_information, holevo_bound
 from .povm import basis_povm
-from .protocol import _evaluate
+from .protocol import _evaluate_attack
 from .serialize import (
     attack_to_dict,
     parse_attack_file,
@@ -149,11 +149,11 @@ def cmd_optimize(args) -> int:
     outer_seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
 
     def score(x, inner_seed: int) -> float:
-        ev = _evaluate(parameterized_attack(x, d))
+        ev = _evaluate_attack(parameterized_attack(x, d))
         # coarse inner budget during the scan; only the winner gets the full report below
         cfg = OptimizerConfig(restarts=args.restarts, max_iterations=200, seed=inner_seed)
         info = _accessible_information(ev, cfg).info
-        p_ctrl, p_sift = ev.p_ctrl, ev.sift.p_sift
+        p_ctrl, p_sift = float(ev.p_ctrl[0]), float(ev.p_sift[0])
         if args.objective == "max-gap":
             return info - tradeoff_bound(p_ctrl, p_sift)
         return info - 1e3 * max(0.0, p_ctrl + p_sift - args.epsilon)

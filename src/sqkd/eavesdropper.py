@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .info import ZERO_PROB, _entropy_bits, mutual_information, shannon_entropy, von_neumann_entropy
 from .povm import Povm
-from .protocol import AttackModel, _evaluate, _Evaluation, _joint_table
+from .protocol import AttackModel, _evaluate_attack, _Evaluation, _joint_table
 
 FLAT_GAIN = 1e-12  # bits: a kept step that gains less ends the start
 MIN_STEP = 1e-12  # eps below this ends the start
@@ -132,11 +132,11 @@ def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> list:
 
 
 def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
-    """accessible_information of an evaluated attack."""
+    """accessible_information of an evaluated attack (a stack of one)."""
     cfg = cfg or OptimizerConfig()
-    d = ev.attack.ancilla_dim
+    d = ev.rho_eve.shape[-1]
     m = max(2, d * d)
-    tau = np.stack([ev.sift.p_a[z] * ev.sift.rho_eve[z] for z in (0, 1)])
+    tau = ev.p_a[0, :, None, None] * ev.rho_eve[0]
 
     best_v, best_info = None, -np.inf
     stop_reasons, restart_values = [], []
@@ -149,7 +149,7 @@ def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None)
 
     best_povm = Povm(tuple(linalg.projector(v) for v in best_v.T))
     # the reported value always comes from the full dual-route evaluation
-    achieved = mutual_information(_joint_table(ev, best_povm))
+    achieved = mutual_information(_joint_table(ev, best_povm.elements[None])[0])
     return AccessibleInfoResult(achieved, best_povm, stop_reasons, restart_values)
 
 
@@ -160,7 +160,7 @@ def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = No
     and keeps the best, ties broken by lower start index.  Each start's
     stop reason is reported in `stop_reasons`, never raised.
     """
-    return _accessible_information(_evaluate(attack), cfg)
+    return _accessible_information(_evaluate_attack(attack), cfg)
 
 
 def holevo_bound(rho0: np.ndarray, rho1: np.ndarray, p) -> float:

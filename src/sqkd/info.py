@@ -49,10 +49,13 @@ def validate_joint(table, name: str = "joint distribution") -> np.ndarray:
 def mutual_information(table) -> float:
     """Mutual information I(X:Y) = H(X) + H(Y) - H(X,Y) of a joint table.
 
-    The result is clamped to [0, inf); a value below -1e-12 indicates an
+    The cleaned table is divided by its own total (within 1e-9 of 1)
+    first, so the three entropies come from one exact distribution.  The
+    result is clamped to [0, inf); a value below -1e-12 indicates an
     invalid table and raises.
     """
     t = validate_joint(table)
+    t = t / t.sum()
     # the marginals of a validated table are valid distributions already
     mi = _entropy_bits(t.sum(axis=1)) + _entropy_bits(t.sum(axis=0)) - _entropy_bits(t)
     if mi < -NEG_PROB_TOL:

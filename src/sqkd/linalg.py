@@ -4,6 +4,9 @@ The joint space is H (x) K with H the qubit (dim 2) and K the ancilla
 (dim d).  Index order is qubit-major throughout: the amplitude of
 |q> (x) |k> sits at position q*d + k, so the |0> and |1> qubit blocks are
 the contiguous halves of any joint vector or matrix.
+
+The matrix functions act on the last two axes, so they also take stacks
+of same-shape matrices; the checks then cover every matrix of the stack.
 """
 
 import numpy as np
@@ -38,7 +41,8 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,13 +69,13 @@ def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
     return m[:d, :d] + m[d:, d:]
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value, via the eigenvalues of m^dag m."""
+def operator_norm(m: np.ndarray):
+    """Largest singular value, via the eigenvalues of m^dag m (one per matrix of a stack)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    eigs = np.linalg.eigvalsh(dagger(m) @ m)
-    return float(np.sqrt(max(eigs[-1], 0.0)))
+    norm = np.sqrt(np.maximum(np.linalg.eigvalsh(dagger(m) @ m)[..., -1], 0.0))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
@@ -80,21 +84,37 @@ def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
     return (q * np.exp(1j * w)) @ dagger(q)
 
 
+def ginibre(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` complex Gaussian dim x dim matrices, shape (count, dim, dim).
+
+    Each matrix takes its real and then its imaginary part from `rng`, so
+    one call draws the same numbers as `count` successive draws of one.
+    """
+    g = rng.standard_normal((count, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
+
+
+def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from Ginibre matrices (one per matrix of a stack).
+
+    QR factorization of g / sqrt(2), then the phases of R's diagonal are
+    absorbed into Q; this correction makes the distribution exactly Haar
+    rather than merely unitary.
+    """
+    q, r = np.linalg.qr(g / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed random unitary of the given dimension.
 
-    Ginibre matrix, QR factorization, then the phases of R's diagonal
-    are absorbed into Q; this correction makes the distribution exactly
-    Haar rather than merely unitary.  `seed` is anything accepted by
-    `numpy.random.default_rng` (an existing Generator is used as is).
+    `seed` is anything accepted by `numpy.random.default_rng` (an
+    existing Generator is used as is).
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return haar_from_ginibre(ginibre(np.random.default_rng(seed), 1, dim))[0]
 
 
 def random_state(dim: int, seed) -> np.ndarray:
@@ -113,9 +133,9 @@ def random_density(dim: int, seed) -> np.ndarray:
 
 
 def unitary_deviation(m: np.ndarray) -> float:
-    """Max-entry deviation of m^dag m from the identity."""
+    """Max-entry deviation of m^dag m from the identity, over a whole stack."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))))
+    return float(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[-1]))))
 
 
 def check_unitary(m: np.ndarray, name: str = "matrix") -> None:
@@ -125,29 +145,42 @@ def check_unitary(m: np.ndarray, name: str = "matrix") -> None:
 
 
 def check_normalized(vec: np.ndarray, name: str = "state") -> None:
-    dev = abs(float(np.real(np.vdot(vec, vec))) - 1.0)
+    """Unit norm of a vector, or of each vector (last axis) of a stack."""
+    vec = np.asarray(vec, dtype=complex)
+    dev = float(np.max(np.abs((vec.real ** 2 + vec.imag ** 2).sum(axis=-1) - 1.0)))
     if not dev <= TOL_NORM:  # NaN fails too
         raise ValueError(f"{name} is not normalized: squared norm deviates by {dev:.3e}")
 
 
-def is_hermitian(m: np.ndarray) -> bool:
+def _flags(ok: np.ndarray):
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def is_hermitian(m: np.ndarray):
+    """Hermitian within 1e-10; one flag per matrix of a stack."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - dagger(m))) <= TOL_POSITIVE)
+    return _flags(np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= TOL_POSITIVE)
 
 
-def is_positive(m: np.ndarray) -> bool:
-    """Positive-semidefinite check: Hermitian with eigenvalues >= -1e-10."""
-    if not is_hermitian(m):
-        return False
-    return bool(np.linalg.eigvalsh(m)[0] >= -TOL_POSITIVE)
+def is_positive(m: np.ndarray):
+    """Positive-semidefinite check: Hermitian with eigenvalues >= -1e-10;
+    one flag per matrix of a stack."""
+    m = np.asarray(m)
+    hermitian = np.asarray(is_hermitian(m))
+    # a matrix that is not Hermitian is never diagonalized
+    lowest = np.linalg.eigvalsh(np.where(hermitian[..., None, None], m, 0.0))[..., 0]
+    return _flags(hermitian & (lowest >= -TOL_POSITIVE))
 
 
-def clamp_probability(x: float) -> float:
-    """Clamp a numerically noisy probability into [0, 1].
+def clamp_probability(x):
+    """Clamp a numerically noisy probability, or an array of them, into [0, 1].
 
     Values within 1e-12 outside the interval are snapped to the boundary;
-    anything further out, and NaN, raises.
+    anything further out, and NaN, raises.  A scalar comes back as a float.
     """
-    if not -EIG_CLAMP <= x <= 1.0 + EIG_CLAMP:
-        raise ValueError(f"value {x!r} is not a probability up to tolerance {EIG_CLAMP}")
-    return min(max(x, 0.0), 1.0)
+    p = np.asarray(x, dtype=float)
+    if not (p.min() >= -EIG_CLAMP and p.max() <= 1.0 + EIG_CLAMP):  # NaN fails too
+        bad = p[~((p >= -EIG_CLAMP) & (p <= 1.0 + EIG_CLAMP))]
+        raise ValueError(f"value {float(bad[0])!r} is not a probability up to tolerance {EIG_CLAMP}")
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    return float(p) if p.ndim == 0 else p

@@ -1,4 +1,9 @@
-"""POVMs on the ancilla space K and their construction from factors."""
+"""POVMs on the ancilla space K and their construction from factors.
+
+A POVM's elements are one (m, d, d) array.  The construction and the
+checks also take stacks of same-shape factor sets, (N, m, d, d), so a
+suite builds and validates all its POVMs of one shape in one call.
+"""
 
 from dataclasses import dataclass
 
@@ -14,44 +19,69 @@ class DegeneracyError(ValueError):
     """Raised when a factor set cannot be normalized into a POVM."""
 
 
+def check_elements(elements: np.ndarray) -> None:
+    """Positivity of every element and completeness, for elements shaped
+    (m, d, d) or a stack of them (N, m, d, d); messages name the element."""
+    d = elements.shape[-1]
+    bad = ~np.asarray(linalg.is_positive(elements)).reshape(-1, elements.shape[-3])
+    if bad.any():
+        i = int(np.nonzero(bad.any(axis=0))[0][0])
+        raise ValueError(f"POVM element {i} is not positive within {linalg.TOL_POSITIVE}")
+    dev = float(np.max(np.abs(elements.sum(axis=-3) - np.eye(d))))
+    if not dev <= COMPLETENESS_TOL:  # NaN fails too
+        raise ValueError(f"POVM elements sum to identity only within {dev:.3e} (> {COMPLETENESS_TOL})")
+
+
 @dataclass(frozen=True)
 class Povm:
     """A finite POVM {E_e} on the ancilla: positive operators summing to 1_K.
 
-    Each element acts on K only.  On the joint space it acts as
-    1_H (x) E_e: the protocol code applies E_e to each qubit block of a
-    joint vector.
+    `elements` is one (m, d, d) complex array.  Each element acts on K
+    only; on the joint space it acts as 1_H (x) E_e, which the protocol
+    code applies to each qubit block of a joint vector.
     """
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
+        elems = self.elements
+        if not isinstance(elems, np.ndarray):
+            elems = [np.asarray(e, dtype=complex) for e in elems]
+            for i, e in enumerate(elems):
+                if e.shape != elems[0].shape:
+                    raise ValueError(f"POVM element {i} has shape {e.shape}, expected {elems[0].shape}")
+        object.__setattr__(self, "elements", np.asarray(elems, dtype=complex))
         self.validate()
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     @property
     def outcome_count(self) -> int:
         return len(self.elements)
 
     def validate(self) -> None:
-        if not self.elements:
+        e = self.elements
+        if e.size == 0:
             raise ValueError("a POVM needs at least one element")
-        d = self.elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, e in enumerate(self.elements):
-            if e.shape != (d, d):
-                raise ValueError(f"POVM element {i} has shape {e.shape}, expected {(d, d)}")
-            if not linalg.is_positive(e):
-                raise ValueError(f"POVM element {i} is not positive within {linalg.TOL_POSITIVE}")
-            total += e
-        dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(f"POVM elements sum to identity only within {dev:.3e} (> {COMPLETENESS_TOL})")
+        if e.ndim != 3 or e.shape[1] != e.shape[2]:
+            raise ValueError(f"POVM elements have shape {e.shape}, expected (m, d, d)")
+        check_elements(e)
+
+
+def elements_from_factors(factors: np.ndarray) -> np.ndarray:
+    """POVM elements from factor matrices A_e shaped (m, d, d), or a stack
+    of factor sets (N, m, d, d); see povm_from_factors."""
+    grams = linalg.dagger(factors) @ factors
+    eigvals, eigvecs = np.linalg.eigh(grams.sum(axis=-3))
+    lowest = float(np.min(eigvals[..., 0]))
+    if not lowest > FACTOR_SINGULAR_TOL:
+        raise DegeneracyError(f"factor normalizer is singular (min eigenvalue {lowest:.3e})")
+    s_inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))[..., None, :]) @ linalg.dagger(eigvecs)
+    s_inv_sqrt = s_inv_sqrt[..., None, :, :]
+    e = s_inv_sqrt @ grams @ s_inv_sqrt
+    return (e + linalg.dagger(e)) / 2.0
 
 
 def povm_from_factors(factors) -> Povm:
@@ -61,23 +91,10 @@ def povm_from_factors(factors) -> Povm:
     are positive and complete by construction.  S must be nonsingular
     (smallest eigenvalue > 1e-12), otherwise DegeneracyError is raised.
     """
-    mats = [np.asarray(a, dtype=complex) for a in factors]
-    if not mats:
+    mats = np.asarray(factors, dtype=complex)
+    if len(mats) == 0:
         raise ValueError("need at least one factor")
-    d = mats[0].shape[0]
-    grams = [linalg.dagger(a) @ a for a in mats]
-    s = np.zeros((d, d), dtype=complex)
-    for g in grams:
-        s += g
-    eigvals, eigvecs = np.linalg.eigh(s)
-    if eigvals[0] <= FACTOR_SINGULAR_TOL:
-        raise DegeneracyError(f"factor normalizer is singular (min eigenvalue {eigvals[0]:.3e})")
-    s_inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ linalg.dagger(eigvecs)
-    elements = []
-    for g in grams:
-        e = s_inv_sqrt @ g @ s_inv_sqrt
-        elements.append((e + linalg.dagger(e)) / 2.0)
-    return Povm(tuple(elements))
+    return Povm(elements_from_factors(mats))
 
 
 def basis_povm(dim: int, basis: str = "z") -> Povm:
@@ -101,9 +118,4 @@ def basis_povm(dim: int, basis: str = "z") -> Povm:
 
 def random_povm(dim: int, outcomes: int, seed) -> Povm:
     """Random POVM from Ginibre factors."""
-    rng = np.random.default_rng(seed)
-    factors = [
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for _ in range(outcomes)
-    ]
-    return povm_from_factors(factors)
+    return povm_from_factors(linalg.ginibre(np.random.default_rng(seed), outcomes, dim))

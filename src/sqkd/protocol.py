@@ -6,8 +6,16 @@ that the returning qubit is still |+>; the SIFT branch has Alice measure
 and resend in the computational basis, after which Eve measures a POVM
 on her ancilla.  All probabilities are exact inner products, never
 sampled.
+
+One numeric kernel does the work: `_evaluate` takes a stack of N attacks
+of one ancilla dimension d, shaped (N, d) and (N, 2d, 2d), and
+`_joint_table` a stack of POVM elements (N, m, d, d); every product is a
+stacked matmul or an einsum.  The suites evaluate their trials in such
+stacks, grouped by (d, m), and every public function here is the kernel
+on a stack of one.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,140 +46,151 @@ class AttackModel:
         self.validate()
 
     def validate(self) -> None:
-        d = self.ancilla_dim
-        if d < 1:
-            raise ValueError(f"ancilla_dim must be >= 1, got {d}")
-        if self.omega.shape != (d,):
-            raise ValueError(f"omega has shape {self.omega.shape}, expected ({d},)")
-        linalg.check_normalized(self.omega, name="omega")
-        for name, m in (("V", self.v), ("U", self.u)):
-            if m.shape != (2 * d, 2 * d):
-                raise ValueError(f"{name} has shape {m.shape}, expected {(2 * d, 2 * d)}")
-            linalg.check_unitary(m, name=name)
+        check_attacks(self.ancilla_dim, self.omega[None], self.v[None], self.u[None])
 
 
 @dataclass(frozen=True)
 class SiftOutcome:
     """Everything the SIFT branch produces for a fixed attack.
 
-    p_a[z] is Alice's outcome distribution, sigma[z] the post-measurement
-    joint states, rho_eve[z] Eve's conditional states after the return
-    interaction, p_b_given_a the conditional table for Bob's check, and
-    p_sift the SIFT error probability.  Branches with p_a[z] below
-    1e-12 are flagged degenerate and carry zero operators.
+    p_a[z] is Alice's outcome distribution, rho_eve[z] (a (2, d, d)
+    array) Eve's conditional states after the return interaction,
+    p_b_given_a the conditional table for Bob's check, and p_sift the
+    SIFT error probability.  Branches with p_a[z] below 1e-12 are
+    flagged degenerate and carry a zero state and table row.
     """
 
     p_a: np.ndarray
-    sigma: tuple
-    rho_eve: tuple
+    rho_eve: np.ndarray
     p_b_given_a: np.ndarray
     p_sift: float
     degenerate: tuple
 
 
-def _qubit_blocks(vec: np.ndarray, d: int):
-    return vec[:d], vec[d:]
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis."""
+    return (x.real ** 2 + x.imag ** 2).sum(axis=-1)
 
 
-def _lifted_expectation(blocks, element: np.ndarray) -> float:
-    """<v| 1_H (x) E |v>, clamped at 0, from the nonzero qubit blocks of v."""
-    return max(float(np.real(sum(np.vdot(b, element @ b) for b in blocks))), 0.0)
+def _prepared_states(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V |+> (x) |omega> for stacks omega (N, d) and v (N, 2d, 2d)."""
+    plus_omega = (linalg.ket_plus()[:, None] * omega[:, None, :]).reshape(len(omega), -1)
+    return (v @ plus_omega[..., None])[..., 0]
 
 
-def _prepared_state(attack: AttackModel) -> np.ndarray:
-    return attack.v @ linalg.tensor(linalg.ket_plus(), attack.omega)
+def check_attacks(d: int, omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> None:
+    """Validate a stack of attacks: omega (N, d), v and u (N, 2d, 2d)."""
+    if d < 1:
+        raise ValueError(f"ancilla_dim must be >= 1, got {d}")
+    if omega.shape[1:] != (d,):
+        raise ValueError(f"omega has shape {omega.shape[1:]}, expected ({d},)")
+    linalg.check_normalized(omega, name="omega")
+    for name, m in (("V", v), ("U", u)):
+        if m.shape[1:] != (2 * d, 2 * d):
+            raise ValueError(f"{name} has shape {m.shape[1:]}, expected {(2 * d, 2 * d)}")
+        linalg.check_unitary(m, name=name)
 
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """What the protocol derives from one attack alone: psi = V |+> (x) |omega>,
-    u_psi = U psi, and branches[z] = U Z_z psi (unnormalized)."""
+    """What the protocol derives from a stack of N attacks of one ancilla
+    dimension d, each field with the instance as its first axis:
+    psi = V |+> (x) |omega> and u_psi = U psi (N, 2d); branches[n, z, q]
+    the qubit-q block of U Z_z psi (N, 2, 2, d, unnormalized); p_ctrl and
+    p_sift (N,); p_a and degenerate (N, 2); rho_eve (N, 2, d, d);
+    p_b_given_a (N, 2, 2)."""
 
-    attack: AttackModel
+    u: np.ndarray
     psi: np.ndarray
     u_psi: np.ndarray
-    branches: tuple
-    p_ctrl: float
-    sift: SiftOutcome
+    branches: np.ndarray
+    p_ctrl: np.ndarray
+    p_a: np.ndarray
+    rho_eve: np.ndarray
+    p_b_given_a: np.ndarray
+    p_sift: np.ndarray
+    degenerate: np.ndarray
 
-
-def _evaluate(attack: AttackModel) -> _Evaluation:
-    """Evaluate the CTRL and SIFT branches of a (validated) attack once."""
-    d = attack.ancilla_dim
-    u = attack.u
-    psi = _prepared_state(attack)
-    u_psi = u @ psi
-    w0, w1 = _qubit_blocks(u_psi, d)
-    # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
-    p_ctrl = linalg.clamp_probability(float(np.linalg.norm(w0 - w1) ** 2 / 2.0))
-
-    p_a = np.empty(2)
-    sigma = []
-    rho_eve = []
-    p_b_given_a = np.zeros((2, 2))
-    degenerate = []
-
-    projected = []  # Z_z |Psi>, unnormalized
-    for z in (0, 1):
-        cut = psi.copy()
-        cut[(1 - z) * d:(2 - z) * d] = 0.0
-        projected.append(cut)
-        p_a[z] = linalg.clamp_probability(float(np.linalg.norm(cut) ** 2))
-
-    for z in (0, 1):
-        if p_a[z] <= DEGENERATE_BRANCH_TOL:
-            degenerate.append(True)
-            sigma.append(np.zeros((2 * d, 2 * d), dtype=complex))
-            rho_eve.append(np.zeros((d, d), dtype=complex))
-            continue
-        degenerate.append(False)
-        sigma.append(np.outer(projected[z], projected[z].conj()) / p_a[z])
-        returned = u @ sigma[z] @ linalg.dagger(u)
-        rho_eve.append(linalg.partial_trace_qubit(returned))
-        for z_bob in (0, 1):
-            block = returned[z_bob * d:(z_bob + 1) * d, z_bob * d:(z_bob + 1) * d]
-            p_b_given_a[z, z_bob] = linalg.clamp_probability(float(np.trace(block).real))
-
-    p_sift = float(p_b_given_a[0, 1] * p_a[0] + p_b_given_a[1, 0] * p_a[1])
-    p_sift_op = sift_error_operator(attack)
-    if abs(p_sift - p_sift_op) > CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"P_SIFT routes disagree: defining sum {p_sift!r} vs operator form {p_sift_op!r}"
+    def sift(self, n: int) -> SiftOutcome:
+        """The SIFT branch of instance n."""
+        return SiftOutcome(
+            p_a=self.p_a[n],
+            rho_eve=self.rho_eve[n],
+            p_b_given_a=self.p_b_given_a[n],
+            p_sift=float(self.p_sift[n]),
+            degenerate=tuple(bool(b) for b in self.degenerate[n]),
         )
 
-    sift = SiftOutcome(
-        p_a=p_a,
-        sigma=tuple(sigma),
-        rho_eve=tuple(rho_eve),
-        p_b_given_a=p_b_given_a,
-        p_sift=p_sift,
-        degenerate=tuple(degenerate),
-    )
-    return _Evaluation(attack, psi, u_psi, tuple(u @ cut for cut in projected), p_ctrl, sift)
+
+def _evaluate(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> _Evaluation:
+    """Evaluate the CTRL and SIFT branches of a stack of validated attacks once.
+
+    Eve's states and Bob's table come from the qubit blocks b_q of
+    U Z_z psi: rho_eve[z] = sum_q b_q b_q^dag / p_a(z) and
+    p(z_B | z) = ||b_{z_B}||^2 / p_a(z).
+    """
+    n, d = omega.shape
+    psi = _prepared_states(omega, v)
+    u_psi = (u @ psi[..., None])[..., 0]
+    w = u_psi.reshape(n, 2, d)
+    # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
+    p_ctrl = linalg.clamp_probability(_sq_norms(w[:, 0] - w[:, 1]) / 2.0)
+
+    halves = psi.reshape(n, 2, d)
+    p_a = linalg.clamp_probability(_sq_norms(halves))
+    # U Z_z psi = U restricted to the columns of qubit block z, applied to block z of psi
+    branches = np.stack(
+        [(u[:, :, z * d:(z + 1) * d] @ halves[:, z, :, None])[..., 0] for z in (0, 1)], axis=1
+    ).reshape(n, 2, 2, d)
+    degenerate = p_a <= DEGENERATE_BRANCH_TOL
+    scale = np.zeros_like(p_a)
+    np.divide(1.0, p_a, out=scale, where=~degenerate)
+    p_b_given_a = linalg.clamp_probability(_sq_norms(branches) * scale[..., None])
+    rho_eve = (np.swapaxes(branches, -1, -2) @ branches.conj()) * scale[..., None, None]
+
+    p_sift = p_b_given_a[:, 0, 1] * p_a[:, 0] + p_b_given_a[:, 1, 0] * p_a[:, 1]
+    p_sift_op = _sift_error_operator(psi, u)
+    off = np.abs(p_sift - p_sift_op) > CROSS_CHECK_TOL
+    if off.any():
+        k = int(np.argmax(off))
+        raise ArithmeticError(
+            f"P_SIFT routes disagree: defining sum {float(p_sift[k])!r} vs operator form {float(p_sift_op[k])!r}"
+        )
+    return _Evaluation(u, psi, u_psi, branches, p_ctrl, p_a, rho_eve, p_b_given_a, p_sift, degenerate)
 
 
-def _joint_table(ev: _Evaluation, eve_povm: Povm) -> np.ndarray:
-    """Joint table p(z, e) of an evaluated attack; see joint_distribution."""
-    d = ev.attack.ancilla_dim
-    if eve_povm.dim != d:
-        raise ValueError(f"POVM dimension {eve_povm.dim} does not match ancilla dimension {d}")
-    table = np.empty((2, eve_povm.outcome_count))
-    for z in (0, 1):
-        blocks = _qubit_blocks(ev.branches[z], d)
-        for e, element in enumerate(eve_povm.elements):
-            table[z, e] = _lifted_expectation(blocks, element)
-            conditional = ev.sift.p_a[z] * float(np.trace(ev.sift.rho_eve[z] @ element).real)
-            if abs(table[z, e] - conditional) > CROSS_CHECK_TOL:
-                raise ArithmeticError(
-                    f"joint-distribution routes disagree at (z={z}, e={e}): "
-                    f"{table[z, e]!r} vs {conditional!r}"
-                )
-    return validate_joint(table)
+def _evaluate_attack(attack: AttackModel) -> _Evaluation:
+    """_evaluate on a stack of one attack."""
+    return _evaluate(attack.omega[None], attack.v[None], attack.u[None])
+
+
+def _lifted_expectations(vecs: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """<v| 1_H (x) E_e |v>, clamped at 0, for joint vectors given by their
+    qubit blocks vecs (N, ..., 2, d) and elements (N, m, d, d); shape (N, ..., m)."""
+    return np.maximum(np.einsum("n...qi,neij,n...qj->n...e", vecs.conj(), elements, vecs).real, 0.0)
+
+
+def _joint_table(ev: _Evaluation, elements: np.ndarray) -> np.ndarray:
+    """Joint tables p(z, e), shape (N, 2, m), of evaluated attacks and
+    POVM elements (N, m, d, d); see joint_distribution."""
+    d = ev.rho_eve.shape[-1]
+    if elements.shape[-1] != d:
+        raise ValueError(f"POVM dimension {elements.shape[-1]} does not match ancilla dimension {d}")
+    table = _lifted_expectations(ev.branches, elements)
+    conditional = ev.p_a[..., None] * np.einsum("nzij,neji->nze", ev.rho_eve, elements).real
+    off = np.abs(table - conditional) > CROSS_CHECK_TOL
+    if off.any():
+        k, z, e = (int(i) for i in np.argwhere(off)[0])
+        raise ArithmeticError(
+            f"joint-distribution routes disagree at (z={z}, e={e}): "
+            f"{float(table[k, z, e])!r} vs {float(conditional[k, z, e])!r}"
+        )
+    return np.stack([validate_joint(t) for t in table])
 
 
 def forward_state(attack: AttackModel) -> np.ndarray:
     """The joint state V |+> (x) |omega> after Eve's forward interaction."""
-    return _evaluate(attack).psi
+    return _evaluate_attack(attack).psi[0]
 
 
 def ctrl_error(attack: AttackModel) -> float:
@@ -179,7 +198,28 @@ def ctrl_error(attack: AttackModel) -> float:
 
     <Psi| U^dag (|-><-| (x) 1_K) U |Psi>, clamped into [0, 1].
     """
-    return _evaluate(attack).p_ctrl
+    return float(_evaluate_attack(attack).p_ctrl[0])
+
+
+@functools.cache
+def _z_projectors(d: int) -> np.ndarray:
+    """Z_0 and Z_1 = |z><z| (x) 1_K as explicit 2d x 2d matrices, built once per d (read-only)."""
+    eye_k = np.eye(d, dtype=complex)
+    z = np.stack([linalg.tensor(linalg.projector(linalg.basis_state(2, zz)), eye_k) for zz in (0, 1)])
+    z.flags.writeable = False
+    return z
+
+
+def _sift_error_operator(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sift_error_operator for stacks psi (N, 2d) and u (N, 2d, 2d), with
+    the projector matrices applied to the whole stack."""
+    z = _z_projectors(psi.shape[-1] // 2)
+    udag = linalg.dagger(u)
+    total = 0.0
+    for zz in (0, 1):
+        m = z[zz] @ udag @ z[1 - zz] @ u @ z[zz]
+        total = total + (psi.conj()[:, None, :] @ (m @ psi[..., None]))[:, 0, 0].real
+    return linalg.clamp_probability(total)
 
 
 def sift_error_operator(attack: AttackModel) -> float:
@@ -187,17 +227,8 @@ def sift_error_operator(attack: AttackModel) -> float:
     <Psi| Z_0 U^dag Z_1 U Z_0 |Psi> + <Psi| Z_1 U^dag Z_0 U Z_1 |Psi>,
     evaluated with explicit projector matrices (independent of the
     branch bookkeeping in sift_branch)."""
-    d = attack.ancilla_dim
-    psi = _prepared_state(attack)
-    eye_k = np.eye(d, dtype=complex)
-    z = [linalg.tensor(linalg.projector(linalg.basis_state(2, zz)), eye_k) for zz in (0, 1)]
-    u = attack.u
-    udag = linalg.dagger(u)
-    total = 0.0
-    for zz in (0, 1):
-        m = z[zz] @ udag @ z[1 - zz] @ u @ z[zz]
-        total += float(np.real(np.vdot(psi, m @ psi)))
-    return linalg.clamp_probability(total)
+    psi = _prepared_states(attack.omega[None], attack.v[None])
+    return float(_sift_error_operator(psi, attack.u[None])[0])
 
 
 def sift_branch(attack: AttackModel) -> SiftOutcome:
@@ -208,7 +239,7 @@ def sift_branch(attack: AttackModel) -> SiftOutcome:
     p(1|0) p_a(0) + p(0|1) p_a(1) and cross-checked against the operator
     expression within 1e-12.
     """
-    return _evaluate(attack).sift
+    return _evaluate_attack(attack).sift(0)
 
 
 def joint_distribution(attack: AttackModel, eve_povm: Povm) -> np.ndarray:
@@ -217,7 +248,7 @@ def joint_distribution(attack: AttackModel, eve_povm: Povm) -> np.ndarray:
     Cross-checked against the conditional route
     p_a(z) * tr(rho_z E_e) within 1e-12 before returning.
     """
-    return _joint_table(_evaluate(attack), eve_povm)
+    return _joint_table(_evaluate_attack(attack), eve_povm.elements[None])[0]
 
 
 def eve_information(attack: AttackModel, eve_povm: Povm) -> float:

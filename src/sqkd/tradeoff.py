@@ -19,14 +19,16 @@ from .povm import Povm
 from .protocol import (
     AttackModel,
     SiftOutcome,
-    _evaluate,
+    _evaluate_attack,
     _Evaluation,
     _joint_table,
-    _lifted_expectation,
-    _qubit_blocks,
+    _lifted_expectations,
+    _sq_norms,
 )
 
 SLACK_TOL = -1e-9
+STEPS = ("s1_z0", "s1_z1", "s2", "s3", "s4", "s5", "s6_info_fidelity", "s6_fidelity_bound")
+"""The derivation steps of proof_chain, in order; the s1 steps are equalities."""
 
 
 @dataclass(frozen=True)
@@ -35,15 +37,25 @@ class ProofTrace:
 
     step_slacks maps step names to signed slacks (RHS - LHS of the
     step's inequality); the s1 entries are equality residuals expected
-    to vanish within 1e-12.
+    to vanish within 1e-12.  Inside the kernel every field carries the
+    instance as its first axis.
     """
 
-    c: tuple
     p0: np.ndarray
     p0_marginal: np.ndarray
     lhs_overlap: float
     fidelity_sum: float
     step_slacks: dict
+
+    def instance(self, n: int) -> "ProofTrace":
+        """The trace of instance n of a stacked trace."""
+        return ProofTrace(
+            p0=self.p0[n],
+            p0_marginal=self.p0_marginal[n],
+            lhs_overlap=float(self.lhs_overlap[n]),
+            fidelity_sum=float(self.fidelity_sum[n]),
+            step_slacks={k: float(v[n]) for k, v in self.step_slacks.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -61,12 +73,21 @@ class TradeoffReport:
     joint: np.ndarray
 
 
-def tradeoff_bound(p_ctrl: float, p_sift: float) -> float:
-    """Upper bound 2 sqrt(P_CTRL + 6 P_SIFT^(1/4)) on Eve's information."""
+def tradeoff_bound(p_ctrl, p_sift):
+    """Upper bound 2 sqrt(P_CTRL + 6 P_SIFT^(1/4)) on Eve's information,
+    elementwise on arrays; a float for scalars."""
+    p_ctrl, p_sift = np.asarray(p_ctrl, dtype=float), np.asarray(p_sift, dtype=float)
     for name, value in (("p_ctrl", p_ctrl), ("p_sift", p_sift)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(2.0 * np.sqrt(p_ctrl + 6.0 * p_sift ** 0.25))
+        if not np.all((0.0 <= value) & (value <= 1.0)):
+            raise ValueError(f"{name} must lie in [0, 1], got {value.tolist()!r}")
+    rhs = 2.0 * np.sqrt(p_ctrl + 6.0 * p_sift ** 0.25)
+    return float(rhs) if rhs.ndim == 0 else rhs
+
+
+def _fidelity_bound(f):
+    """sqrt(1 - 4 F^2), with 1 - 4 F^2 clamped at 0 (F exceeds 1/2 only
+    through numerical noise)."""
+    return np.sqrt(np.maximum(1.0 - 4.0 * f * f, 0.0))
 
 
 def fidelity_information_bound(table) -> float:
@@ -80,8 +101,23 @@ def fidelity_information_bound(table) -> float:
     t = validate_joint(table)
     if t.shape[0] != 2:
         raise ValueError(f"the x-alphabet must be binary, got {t.shape[0]} symbols")
-    f = float(np.sqrt(t[0] * t[1]).sum())
-    return float(np.sqrt(max(1.0 - 4.0 * f * f, 0.0)))
+    return float(_fidelity_bound(np.sqrt(t[0] * t[1]).sum()))
+
+
+def _information(joint: np.ndarray) -> np.ndarray:
+    """I(A:E) of each joint table of a stack (N, 2, m)."""
+    return np.array([mutual_information(t) for t in joint])
+
+
+def _overlap_slack(phi0: np.ndarray, phi1: np.ndarray, x: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """povm_overlap_slack for stacks phi0, phi1 (N, 2d), x (N, 2, 2) and
+    elements (N, m, d, d)."""
+    n, d = len(phi0), elements.shape[-1]
+    a, b = phi0.reshape(n, 2, d), phi1.reshape(n, 2, d)
+    # x (x) 1_K acts on the qubit-major layout as x on the rows of the (2, d) reshape
+    lhs = np.abs((a.conj() * (x @ b)).reshape(n, -1).sum(axis=-1))
+    rhs = np.sqrt(_lifted_expectations(a, elements) * _lifted_expectations(b, elements)).sum(axis=-1)
+    return rhs * linalg.operator_norm(x) - lhs
 
 
 def povm_overlap_slack(phi0: np.ndarray, phi1: np.ndarray, x: np.ndarray, eve_povm: Povm) -> float:
@@ -104,14 +140,7 @@ def povm_overlap_slack(phi0: np.ndarray, phi1: np.ndarray, x: np.ndarray, eve_po
             f"vectors must live on the joint space of dim {2 * d}, "
             f"got shapes {phi0.shape} and {phi1.shape}"
         )
-    # x (x) 1_K acts on the qubit-major layout as x on the rows of the (2, d) reshape
-    lhs = abs(np.vdot(phi0, (x @ phi1.reshape(2, d)).ravel()))
-    blocks0, blocks1 = _qubit_blocks(phi0, d), _qubit_blocks(phi1, d)
-    rhs = 0.0
-    for element in eve_povm.elements:
-        rhs += np.sqrt(_lifted_expectation(blocks0, element) * _lifted_expectation(blocks1, element))
-    rhs *= linalg.operator_norm(x)
-    return float(rhs - lhs)
+    return float(_overlap_slack(phi0[None], phi1[None], x[None], eve_povm.elements[None])[0])
 
 
 def proof_chain(attack: AttackModel, eve_povm: Povm) -> ProofTrace:
@@ -136,86 +165,71 @@ def proof_chain(attack: AttackModel, eve_povm: Povm) -> ProofTrace:
     table noise past any reasonable tolerance.  The sign is the same
     either way.
     """
-    ev = _evaluate(attack)
-    joint = _joint_table(ev, eve_povm)
-    return _proof_chain(ev, eve_povm, joint, mutual_information(joint))
+    ev = _evaluate_attack(attack)
+    elements = eve_povm.elements[None]
+    joint = _joint_table(ev, elements)
+    rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    return _proof_chain(ev, elements, joint, _information(joint), rhs).instance(0)
 
 
-def _proof_chain(ev: _Evaluation, eve_povm: Povm, joint: np.ndarray, info: float) -> ProofTrace:
-    """proof_chain for an evaluated attack, its joint table and I(A:E),
-    computed on the qubit blocks of psi, U and U psi."""
-    d = ev.attack.ancilla_dim
-    u = ev.attack.u
-    p_ctrl, p_sift = ev.p_ctrl, ev.sift.p_sift
-    psi = _qubit_blocks(ev.psi, d)
-    w = _qubit_blocks(ev.u_psi, d)
+def _proof_chain(ev: _Evaluation, elements: np.ndarray, joint: np.ndarray, info: np.ndarray,
+                 rhs: np.ndarray) -> ProofTrace:
+    """proof_chain for a stack of evaluated attacks, their POVM elements
+    (N, m, d, d), joint tables, I(A:E) and trade-off bounds, computed on
+    the qubit blocks of psi, U and U psi."""
+    n, d = ev.psi.shape[0], ev.rho_eve.shape[-1]
+    u = ev.u
+    p_ctrl, p_sift = ev.p_ctrl, ev.p_sift
+    psi = ev.psi.reshape(n, 2, d)
+    w = ev.u_psi.reshape(n, 2, d)
 
     # C_0 = Z_1 U Z_0 - Z_0 U Z_1 keeps the off-diagonal blocks of U, one
-    # negated, and C_1 = -C_0, so both steps share C_0 psi and its blocks
-    c0 = np.zeros_like(u)
-    c0[d:, :d] = u[d:, :d]
-    c0[:d, d:] = -u[:d, d:]
-    c_psi = (c0[:d, d:] @ psi[1], c0[d:, :d] @ psi[0])
+    # negated, and C_1 = -C_0, so both steps share the blocks of C_0 psi
+    c_psi = np.stack([-(u[:, :d, d:] @ psi[:, 1, :, None])[..., 0],
+                      (u[:, d:, :d] @ psi[:, 0, :, None])[..., 0]], axis=1)
+    residual = _sq_norms(c_psi).sum(axis=-1) - p_sift
 
-    residual = float(sum(np.vdot(b, b).real for b in c_psi)) - p_sift
-    slacks = {"s1_z0": residual, "s1_z1": residual}
-
-    p0 = np.array([[_lifted_expectation((w[z],), e) for e in eve_povm.elements] for z in (0, 1)])
-    p0_marginal = p0.sum(axis=1)
-
-    s2 = np.inf
-    for e, element in enumerate(eve_povm.elements):
-        disturb = _lifted_expectation(c_psi, element)
-        for z in (0, 1):
-            lhs = abs(np.sqrt(joint[z, e]) - np.sqrt(p0[z, e]))
-            rhs = np.sqrt(2.0 * np.sqrt(p0[z, e]) * np.sqrt(disturb) + disturb)
-            s2 = min(s2, float(rhs - lhs))
-    slacks["s2"] = s2
+    p0 = _lifted_expectations(w[:, :, None], elements)  # block z of U psi alone, (N, 2, m)
+    disturb = _lifted_expectations(c_psi, elements)[:, None, :]
+    s2 = np.sqrt(2.0 * np.sqrt(p0) * np.sqrt(disturb) + disturb) - np.abs(np.sqrt(joint) - np.sqrt(p0))
 
     # <U psi| (|0><1| (x) 1_K) |U psi> pairs block 0 with block 1
-    lhs_overlap = float(abs(np.vdot(w[0], w[1])))
-    slacks["s3"] = lhs_overlap - (0.5 - p_ctrl)
-
+    lhs_overlap = np.abs((w[:, 0].conj() * w[:, 1]).sum(axis=-1))
     slack_term = 6.0 * p_sift ** 0.25
-    fidelity_sum = float(np.sqrt(joint[0] * joint[1]).sum())
-    p0_overlap = float(np.sqrt(p0[0] * p0[1]).sum())
-    slacks["s4"] = fidelity_sum + slack_term - p0_overlap
-    slacks["s5"] = fidelity_sum - (0.5 - p_ctrl - slack_term)
+    fidelity_sum = np.sqrt(joint[:, 0] * joint[:, 1]).sum(axis=-1)
+    p0_overlap = np.sqrt(p0[:, 0] * p0[:, 1]).sum(axis=-1)
+    fid_bound = _fidelity_bound(fidelity_sum)
 
-    fid_bound = fidelity_information_bound(joint)
-    rhs_bound = tradeoff_bound(p_ctrl, p_sift)
-    slacks["s6_info_fidelity"] = fid_bound - info
-    if rhs_bound <= 1.0:
-        slacks["s6_fidelity_bound"] = rhs_bound ** 2 - fid_bound ** 2
-    else:
-        slacks["s6_fidelity_bound"] = rhs_bound - info
-
-    return ProofTrace(
-        c=(c0, -c0),
-        p0=p0,
-        p0_marginal=p0_marginal,
-        lhs_overlap=lhs_overlap,
-        fidelity_sum=fidelity_sum,
-        step_slacks=slacks,
-    )
+    slacks = {
+        "s1_z0": residual,
+        "s1_z1": residual,
+        "s2": s2.min(axis=(1, 2)),
+        "s3": lhs_overlap - (0.5 - p_ctrl),
+        "s4": fidelity_sum + slack_term - p0_overlap,
+        "s5": fidelity_sum - (0.5 - p_ctrl - slack_term),
+        "s6_info_fidelity": fid_bound - info,
+        "s6_fidelity_bound": np.where(rhs <= 1.0, rhs ** 2 - fid_bound ** 2, rhs - info),
+    }
+    return ProofTrace(p0, p0.sum(axis=-1), lhs_overlap, fidelity_sum, slacks)
 
 
 def verify_tradeoff(attack: AttackModel, eve_povm: Povm) -> TradeoffReport:
     """Evaluate both sides of the trade-off bound for a concrete attack
     and POVM, with the full derivation certificate attached."""
-    ev = _evaluate(attack)
-    joint = _joint_table(ev, eve_povm)
-    info = mutual_information(joint)
-    rhs = tradeoff_bound(ev.p_ctrl, ev.sift.p_sift)
-    gap = rhs - info
+    ev = _evaluate_attack(attack)
+    elements = eve_povm.elements[None]
+    joint = _joint_table(ev, elements)
+    info = _information(joint)
+    rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    gap = float(rhs[0] - info[0])
     return TradeoffReport(
-        p_ctrl=ev.p_ctrl,
-        p_sift=ev.sift.p_sift,
-        info=info,
-        rhs=rhs,
+        p_ctrl=float(ev.p_ctrl[0]),
+        p_sift=float(ev.p_sift[0]),
+        info=float(info[0]),
+        rhs=float(rhs[0]),
         gap=gap,
         holds=bool(gap >= SLACK_TOL),
-        trace=_proof_chain(ev, eve_povm, joint, info),
-        sift=ev.sift,
-        joint=joint,
+        trace=_proof_chain(ev, elements, joint, info, rhs).instance(0),
+        sift=ev.sift(0),
+        joint=joint[0],
     )

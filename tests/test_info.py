@@ -58,6 +58,17 @@ def test_mutual_information_binary_symmetric():
     assert abs(got - (1.0 - H_ONE_FIFTH)) <= 1e-15
 
 
+@pytest.mark.parametrize("table", [
+    # total 1 + 9.9e-11: the cleaned table once gave -1.443e-10 bits and raised
+    [[-5e-13, 2e-15, 3e-16, 3e-16], [0.0504871341, 0.949512866, -5e-13, 2e-15]],
+    # near-independent, total 1 + 1e-10
+    [[0.25 + 2.5e-11, 0.25 + 2.5e-11], [0.25 + 2.5e-11, 0.25 + 2.5e-11]],
+])
+def test_mutual_information_accepts_tables_off_by_rounding(table):
+    mi = mutual_information(table)
+    assert 0.0 <= mi <= 1e-12
+
+
 def test_mutual_information_bounds_on_random_joints():
     rng = np.random.default_rng(99)
     for _ in range(100_000):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sqkd import linalg
+from sqkd import linalg, protocol
 from sqkd.attacks import named_attack, random_attack
 from sqkd.povm import basis_povm, random_povm
 from sqkd.protocol import (
@@ -90,11 +92,13 @@ def test_sift_return_cz():
 
 
 def test_sift_degenerate_branch():
-    out = sift_branch(hadamard_forward_attack())
+    attack = hadamard_forward_attack()
+    out = sift_branch(attack)
     assert abs(out.p_a[0] - 1.0) <= 1e-12
     assert out.p_a[1] <= 1e-12
     assert out.degenerate == (False, True)
-    assert np.all(out.sigma[1] == 0.0)
+    # the empty branch's post-measurement state carries no weight to Eve
+    assert np.all(joint_distribution(attack, basis_povm(2, "z"))[1] == 0.0)
     assert np.all(out.rho_eve[1] == 0.0)
     assert np.all(out.p_b_given_a[1] == 0.0)
 
@@ -188,11 +192,12 @@ def test_eve_information_bounded_by_alice_entropy():
 
 
 def test_joint_raises_when_conditional_route_disagrees(monkeypatch):
-    trace_out_qubit = linalg.partial_trace_qubit
+    evaluate = protocol._evaluate
 
-    def perturbed(m):
-        return trace_out_qubit(m) + 1e-9 * np.eye(m.shape[0] // 2)
+    def perturbed(*stacks):
+        ev = evaluate(*stacks)
+        return dataclasses.replace(ev, rho_eve=ev.rho_eve + 1e-9 * np.eye(ev.rho_eve.shape[-1]))
 
-    monkeypatch.setattr(linalg, "partial_trace_qubit", perturbed)
+    monkeypatch.setattr(protocol, "_evaluate", perturbed)
     with pytest.raises(ArithmeticError, match="joint-distribution routes disagree"):
         joint_distribution(named_attack("forward-cnot"), basis_povm(2, "z"))

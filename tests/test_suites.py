@@ -1,9 +1,25 @@
+import json
+
 import numpy as np
 import pytest
 
+from sqkd.attacks import random_attack
+from sqkd.cli import main
+from sqkd.info import mutual_information
+from sqkd.povm import random_povm
 from sqkd.protocol import ctrl_error, eve_information, sift_branch
-from sqkd.suites import SUITE_NAMES, run_suite, sample_theorem_instance
-from sqkd.tradeoff import tradeoff_bound
+from sqkd.suites import (
+    _ONE_SIDED,
+    SUITE_NAMES,
+    SUITES,
+    _draw_theorem,
+    _random_joint,
+    _suite_figures,
+    _theorem_stack,
+    run_suite,
+    sample_theorem_instance,
+)
+from sqkd.tradeoff import SLACK_TOL, fidelity_information_bound, povm_overlap_slack, proof_chain, tradeoff_bound
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -49,3 +65,102 @@ def test_run_suite_rejects_bad_args():
         run_suite("nope", 10, 0)
     with pytest.raises(ValueError):
         run_suite("lemma1", 0, 0)
+
+
+def reference_figures(suite: str, child) -> dict:
+    """A trial's figures from its seeded draws and the public scalar functions."""
+    if suite == "lemma1":
+        table = _random_joint(np.random.default_rng(child))
+        return {"slack": fidelity_information_bound(table) - mutual_information(table)}
+    if suite == "lemma2":
+        vec_seed, povm_seed = child.spawn(2)
+        rng = np.random.default_rng(vec_seed)
+        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        phi0 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
+        phi1 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return {"slack": povm_overlap_slack(phi0, phi1, x, random_povm(d, m, povm_seed))}
+    attack, eve_povm = sample_theorem_instance(child)
+    rhs = tradeoff_bound(ctrl_error(attack), sift_branch(attack).p_sift)
+    if suite == "theorem":
+        info = eve_information(attack, eve_povm)
+        return {"slack": rhs - info, "max_info_ratio": info / rhs if rhs > 1e-15 else 0.0, "rhs": rhs}
+    slacks = proof_chain(attack, eve_povm).step_slacks
+    step = min((v, k) for k, v in reversed(slacks.items()) if not k.startswith("s1"))[1]
+    return {"slack": slacks[step], "rhs": rhs, "step": step,
+            "max_equality_residual": max(abs(slacks["s1_z0"]), abs(slacks["s1_z1"]))}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_batched_suite_matches_public_functions(suite, tmp_path, capsys):
+    trials, seed = 500, 1
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", suite, "--trials", str(trials), "--seed", str(seed), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    figures = _suite_figures(suite, trials, seed)
+    reference = [reference_figures(suite, child) for child in np.random.SeedSequence(seed).spawn(trials)]
+    for name in reference[0]:
+        want = [r[name] for r in reference]
+        if name == "step":
+            assert [_ONE_SIDED[i] for i in figures["step"]] == want
+        else:
+            assert np.max(np.abs(figures[name] - np.array(want))) <= 1e-12, name
+    slacks = np.array([r["slack"] for r in reference])
+    _, _, max_field, max_limit = SUITES[suite]
+    violations = int((slacks < SLACK_TOL).sum())
+    if max_field is not None:
+        extra = np.array([r[max_field] for r in reference])
+        violations += int((extra > max_limit).sum())
+        assert doc[max_field] == extra.max()
+    worst = int(np.argmin(slacks))
+    assert (doc["worst_trial"], doc["violations"], doc["min_slack"]) == (worst, violations, slacks[worst])
+    if suite in ("theorem", "proof-chain"):
+        assert doc["non_vacuous"] == sum(r["rhs"] <= 1.0 for r in reference)
+    if suite == "proof-chain":
+        assert doc["worst_step"] == reference[worst]["step"]
+
+
+def parent_haar_unitary(dim, rng):
+    """Haar unitary drawn as the per-instance sampler always drew it."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def test_batched_sampler_draws_the_instances_of_sample_theorem_instance():
+    # spawning is stateful, so every route gets children of its own
+    def children():
+        return np.random.SeedSequence(1).spawn(500)
+
+    draws = [_draw_theorem(child) for child in children()]
+    instances = [sample_theorem_instance(child) for child in children()]
+    seeds = [child.spawn(3)[:2] for child in children()]
+    groups = {}
+    for i, (key, _) in enumerate(draws):
+        groups.setdefault(key, []).append(i)
+    assert len(groups) > 10
+    for (d, m), members in groups.items():
+        omega, v, u, elements = _theorem_stack(d, [draws[i][1] for i in members])
+        for k, i in enumerate(members):
+            attack, eve_povm = instances[i]
+            for got, want in ((omega, attack.omega), (v, attack.v), (u, attack.u), (elements, eve_povm.elements)):
+                assert np.array_equal(got[k], want)
+            attack_seed, povm_seed = seeds[i]
+            assert np.array_equal(u[k], random_attack(d, attack_seed).u)
+            assert np.array_equal(elements[k], random_povm(d, m, povm_seed).elements)
+            rng = np.random.default_rng(attack_seed)
+            assert np.array_equal(v[k], parent_haar_unitary(2 * d, rng))
+            assert np.array_equal(u[k], parent_haar_unitary(2 * d, rng))
+            rng = np.random.default_rng(povm_seed)
+            factors = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(m)]
+            assert np.array_equal(draws[i][1][1], np.array(factors))
+
+
+def test_chunks_do_not_change_results():
+    # 600 trials span three chunks; the first 256 are one whole chunk on their own
+    long_run = _suite_figures("proof-chain", 600, 2)
+    short_run = _suite_figures("proof-chain", 256, 2)
+    for name, values in short_run.items():
+        assert np.array_equal(long_run[name][:256], values)

@@ -102,9 +102,12 @@ def test_overlap_slack_dimension_mismatch():
 
 
 def test_proof_chain_identity_attack():
-    trace = proof_chain(named_attack("identity"), basis_povm(2, "z"))
+    attack = named_attack("identity")
+    trace = proof_chain(attack, basis_povm(2, "z"))
+    p_sift = protocol.sift_branch(attack).p_sift
     for z in (0, 1):
-        assert np.max(np.abs(trace.c[z])) <= 1e-12
+        # s1_z is ||C_z psi||^2 - P_SIFT, so this says ||C_z psi|| <= 1e-12
+        assert abs(trace.step_slacks[f"s1_z{z}"] + p_sift) <= 1e-24
         assert abs(trace.step_slacks[f"s1_z{z}"]) <= 1e-12
     assert abs(trace.lhs_overlap - 0.5) <= 1e-12
     assert abs(trace.step_slacks["s3"]) <= 1e-12  # equality at zero disturbance
@@ -187,25 +190,25 @@ def test_bound_chain_on_random_instances():
 def test_verify_tradeoff_evaluates_the_attack_once(monkeypatch):
     eve = random_povm(3, 5, 12)
     calls = {"validate": 0, "sift_error_operator": 0}
-    validate, operator_route = protocol.AttackModel.validate, protocol.sift_error_operator
+    validate, operator_route = protocol.AttackModel.validate, protocol._sift_error_operator
 
     def counted_validate(self):
         calls["validate"] += 1
         validate(self)
 
-    def counted_operator_route(a):
+    def counted_operator_route(psi, u):
         calls["sift_error_operator"] += 1
-        return operator_route(a)
+        return operator_route(psi, u)
 
     monkeypatch.setattr(protocol.AttackModel, "validate", counted_validate)
-    monkeypatch.setattr(protocol, "sift_error_operator", counted_operator_route)
+    monkeypatch.setattr(protocol, "_sift_error_operator", counted_operator_route)
     verify_tradeoff(random_attack(3, 11), eve)
     assert calls == {"validate": 1, "sift_error_operator": 1}
 
 
 def test_verify_tradeoff_raises_when_sift_routes_disagree(monkeypatch):
-    operator_route = protocol.sift_error_operator
-    monkeypatch.setattr(protocol, "sift_error_operator", lambda a: operator_route(a) + 1e-9)
+    operator_route = protocol._sift_error_operator
+    monkeypatch.setattr(protocol, "_sift_error_operator", lambda psi, u: operator_route(psi, u) + 1e-9)
     with pytest.raises(ArithmeticError, match="P_SIFT routes disagree"):
         verify_tradeoff(random_attack(2, 3), basis_povm(2, "z"))
 
@@ -220,9 +223,11 @@ def test_proof_chain_matches_lifted_projector_route():
         z_ops = [np.kron(np.diag(np.eye(2)[z]), np.eye(d)) for z in (0, 1)]
         lifted = [np.kron(np.eye(2), e) for e in eve.elements]
         trace = proof_chain(attack, eve)
+        p_sift = protocol.sift_branch(attack).p_sift
         for z in (0, 1):
             c = z_ops[1 - z] @ u @ z_ops[z] - z_ops[z] @ u @ z_ops[1 - z]
-            assert np.array_equal(trace.c[z], c)
+            # s1_z is ||C_z psi||^2 - P_SIFT with C_z psi taken from qubit blocks
+            assert abs(trace.step_slacks[f"s1_z{z}"] + p_sift - np.vdot(c @ psi, c @ psi).real) <= 1e-12
             w = z_ops[z] @ u @ psi
             p0 = [max(np.vdot(w, e @ w).real, 0.0) for e in lifted]
             assert np.max(np.abs(trace.p0[z] - p0)) <= 1e-12
