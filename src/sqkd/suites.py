@@ -18,18 +18,9 @@ import numpy as np
 from . import linalg
 from .info import mutual_information
 from .povm import Povm, check_elements, elements_from_factors
-from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, _joint_table, check_attacks
-from .tradeoff import (
-    SLACK_TOL,
-    STEPS,
-    _information,
-    _overlap_slack,
-    _proof_chain,
-    fidelity_information_bound,
-    tradeoff_bound,
-)
+from .protocol import _CHUNK, CROSS_CHECK_TOL, AttackModel, _evaluate, check_attacks
+from .tradeoff import SLACK_TOL, STEPS, _assess, _overlap_slack, _proof_chain, fidelity_information_bound
 
-_CHUNK = 256  # trials drawn and evaluated together; bounds the size of the stacks
 _ONE_SIDED = tuple(s for s in STEPS if not s.startswith("s1"))
 
 
@@ -62,10 +53,16 @@ def _random_joint(rng) -> np.ndarray:
     return table / table.sum()
 
 
+def _spawned(child: np.random.SeedSequence, n: int) -> list:
+    """The children a first child.spawn(n) returns, derived without advancing child: redraws repeat."""
+    return [np.random.SeedSequence(child.entropy, spawn_key=(*child.spawn_key, k), pool_size=child.pool_size)
+            for k in range(n)]
+
+
 def _draw_theorem(child) -> tuple:
     """The seeded draws of a theorem-style trial, keyed by (d, m): d in
     {2,3,4}, m in [2, d^2], Ginibre matrices for V and U and m factors."""
-    attack_seed, povm_seed, pick_seed = child.spawn(3)
+    attack_seed, povm_seed, pick_seed = _spawned(child, 3)
     rng = np.random.default_rng(pick_seed)
     d = int(rng.choice([2, 3, 4]))
     m = int(rng.integers(2, d * d + 1))
@@ -97,8 +94,7 @@ def sample_theorem_instance(child: np.random.SeedSequence) -> tuple[AttackModel,
 def _theorem_batch(key, draws) -> tuple:
     omega, v, u, elements = _theorem_stack(key[0], draws)
     ev = _evaluate(omega, v, u)
-    joint = _joint_table(ev, elements)
-    return ev, elements, joint, _information(joint), tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    return (ev, elements, *_assess(ev, elements))
 
 
 def _theorem_figures(key, draws) -> dict:
@@ -130,7 +126,7 @@ def _lemma1_figures(key, tables) -> dict:
 
 
 def _draw_lemma2(child) -> tuple:
-    vec_seed, povm_seed = child.spawn(2)
+    vec_seed, povm_seed = _spawned(child, 2)
     rng = np.random.default_rng(vec_seed)
     d = int(rng.integers(1, 5))
     m = int(rng.integers(1, 7))

@@ -4,9 +4,9 @@ For any attack and any ancilla POVM the protocol satisfies
 
     I(A:E) <= 2 * sqrt(P_CTRL + 6 * P_SIFT^(1/4))
 
-`verify_tradeoff` evaluates both sides on a concrete instance, and
-`proof_chain` additionally certifies every intermediate inequality the
-bound is derived through, reporting one signed slack per step.
+`verify_tradeoff` evaluates both sides on a concrete instance and
+certifies every intermediate inequality the bound is derived through,
+one signed slack per step; `proof_chain` returns that certificate alone.
 """
 
 from dataclasses import dataclass
@@ -104,9 +104,12 @@ def fidelity_information_bound(table) -> float:
     return float(_fidelity_bound(np.sqrt(t[0] * t[1]).sum()))
 
 
-def _information(joint: np.ndarray) -> np.ndarray:
-    """I(A:E) of each joint table of a stack (N, 2, m)."""
-    return np.array([mutual_information(t) for t in joint])
+def _assess(ev: _Evaluation, elements: np.ndarray) -> tuple:
+    """Joint tables (N, 2, m), I(A:E) (N,) and trade-off bounds (N,) of a
+    stack of evaluated attacks and their POVM elements (N, m, d, d)."""
+    joint = _joint_table(ev, elements)
+    info = np.array([mutual_information(t) for t in joint])
+    return joint, info, tradeoff_bound(ev.p_ctrl, ev.p_sift)
 
 
 def _overlap_slack(phi0: np.ndarray, phi1: np.ndarray, x: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -165,11 +168,7 @@ def proof_chain(attack: AttackModel, eve_povm: Povm) -> ProofTrace:
     table noise past any reasonable tolerance.  The sign is the same
     either way.
     """
-    ev = _evaluate_attack(attack)
-    elements = eve_povm.elements[None]
-    joint = _joint_table(ev, elements)
-    rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
-    return _proof_chain(ev, elements, joint, _information(joint), rhs).instance(0)
+    return verify_tradeoff(attack, eve_povm).trace
 
 
 def _proof_chain(ev: _Evaluation, elements: np.ndarray, joint: np.ndarray, info: np.ndarray,
@@ -218,9 +217,7 @@ def verify_tradeoff(attack: AttackModel, eve_povm: Povm) -> TradeoffReport:
     and POVM, with the full derivation certificate attached."""
     ev = _evaluate_attack(attack)
     elements = eve_povm.elements[None]
-    joint = _joint_table(ev, elements)
-    info = _information(joint)
-    rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    joint, info, rhs = _assess(ev, elements)
     gap = float(rhs[0] - info[0])
     return TradeoffReport(
         p_ctrl=float(ev.p_ctrl[0]),

@@ -4,13 +4,17 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sqkd import protocol
-from sqkd.attacks import random_attack
-from sqkd.cli import main
-from sqkd.serialize import attack_to_dict, check_report_dict, write_document
+from sqkd.attacks import FAMILIES, named_attack, random_attack
+from sqkd.cli import SWEEP_HEADER, _fmt, main
+from sqkd.eavesdropper import OptimizerConfig, accessible_information
+from sqkd.povm import basis_povm, random_povm
+from sqkd.serialize import attack_to_dict, check_report_dict, povm_to_dict, write_document
 from sqkd.suites import SUITE_NAMES, SuiteResult
+from sqkd.tradeoff import verify_tradeoff
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +126,70 @@ def test_sweep_header_and_grid(capsys, tmp_path):
     p_ctrl = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b - a >= -1e-9 for a, b in zip(p_ctrl, p_ctrl[1:]))
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def expected_sweep_rows(family, thetas, povm_for):
+    """The CSV rows of a sweep, one verify_tradeoff per grid point."""
+    rows = []
+    for theta in thetas:
+        attack = named_attack(family, float(theta))
+        rep = verify_tradeoff(attack, povm_for(attack))
+        cells = [family, *map(_fmt, (theta, rep.p_ctrl, rep.p_sift, rep.info, rep.rhs, rep.gap))]
+        rows.append(",".join([*cells, "true" if rep.holds else "false"]))
+    return rows
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("povm, count", [("z", 600), ("x", 40), ("file", 40), ("optimize", 5)])
+def test_sweep_rows_match_verify_tradeoff(capsys, tmp_path, family, povm, count):
+    # 600 points span three chunks of the stacked evaluation
+    argv = ["sweep", "--family", family, "--param", f"theta=0:1.5707963:{count}", "--seed", "3"]
+    if povm == "file":
+        fixed = random_povm(2, 3, 11)
+        write_document(povm_to_dict(fixed), tmp_path / "povm.json")
+        argv += ["--povm", str(tmp_path / "povm.json")]
+        povm_for = lambda attack: fixed
+    elif povm == "optimize":
+        argv += ["--povm", "optimize", "--restarts", "2"]
+        povm_for = lambda attack: accessible_information(attack, OptimizerConfig(restarts=2, seed=3)).povm
+    else:
+        argv += ["--povm", povm]
+        povm_for = lambda attack: basis_povm(2, povm)
+    code, out, _ = run_cli(capsys, *argv)
+    lines = out.split("\n")
+    assert lines[0] == SWEEP_HEADER and lines[-1] == ""
+    assert lines[1:-1] == expected_sweep_rows(family, np.linspace(0.0, 1.5707963, count), povm_for)
+    assert code == 0
+
+
+def test_sweep_resolves_a_file_povm_once_without_verify_tradeoff(capsys, tmp_path, monkeypatch):
+    from sqkd import cli
+
+    write_document(povm_to_dict(random_povm(2, 2, 5)), tmp_path / "povm.json")
+    parses, reports = [], []
+    parse = cli.parse_povm_file
+    monkeypatch.setattr(cli, "parse_povm_file", lambda path: parses.append(path) or parse(path))
+    monkeypatch.setattr(cli, "verify_tradeoff", lambda *a: reports.append(a) or verify_tradeoff(*a))
+    code, out, _ = run_cli(capsys, "sweep", "--family", "partial-return-cz", "--param", "theta=0:1.5:300",
+                           "--povm", str(tmp_path / "povm.json"))
+    assert code == 0
+    assert len(out.strip().split("\n")) == 301
+    assert len(parses) == 1
+    assert reports == []
+
+
+def test_sweep_exit_one_when_the_bound_fails(capsys, monkeypatch):
+    from sqkd import tradeoff
+
+    monkeypatch.setattr(tradeoff, "tradeoff_bound", lambda p_ctrl, p_sift: np.zeros(np.shape(p_ctrl)))
+    code, out, _ = run_cli(capsys, "sweep", "--family", "partial-forward-cnot",
+                           "--param", "theta=0:1.5707963:7")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 7
+    informative = [row for row in rows if float(row[4]) > 0.0]
+    assert len(informative) == 6
+    assert all(row[7] == "false" for row in informative)
+    assert code == 1
 
 
 def test_sweep_rejects_bad_grid(capsys):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from sqkd import linalg
 from sqkd.attacks import random_attack
 from sqkd.povm import DegeneracyError, Povm, check_elements, elements_from_factors, random_povm
-from sqkd.protocol import AttackModel, _evaluate, _evaluate_attack, _joint_table, joint_distribution, sift_branch
-from sqkd.tradeoff import SLACK_TOL, _information, _proof_chain, proof_chain, tradeoff_bound, verify_tradeoff
+from sqkd.protocol import AttackModel, _evaluate, _evaluate_attack, joint_distribution, sift_branch
+from sqkd.tradeoff import SLACK_TOL, _assess, _proof_chain, proof_chain, verify_tradeoff
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -30,9 +30,7 @@ def degenerate_attack(d, rng):
 
 def run_kernel(attacks, elements):
     ev = _evaluate(*stack(attacks))
-    joint = _joint_table(ev, elements)
-    info = _information(joint)
-    rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    joint, info, rhs = _assess(ev, elements)
     return ev, joint, info, rhs, _proof_chain(ev, elements, joint, info, rhs)
 
 

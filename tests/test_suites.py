@@ -12,6 +12,7 @@ from sqkd.suites import (
     _ONE_SIDED,
     SUITE_NAMES,
     SUITES,
+    _draw_lemma2,
     _draw_theorem,
     _random_joint,
     _suite_figures,
@@ -156,6 +157,25 @@ def test_batched_sampler_draws_the_instances_of_sample_theorem_instance():
             rng = np.random.default_rng(povm_seed)
             factors = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(m)]
             assert np.array_equal(draws[i][1][1], np.array(factors))
+
+
+def test_a_trial_draws_the_same_instance_every_time():
+    def child():
+        return np.random.SeedSequence(4).spawn(3)[2]
+
+    reused = child()
+    key, draw = _draw_theorem(reused)
+    instances = [sample_theorem_instance(reused), sample_theorem_instance(reused), sample_theorem_instance(child())]
+    assert np.array_equal(_draw_theorem(reused)[1][1], draw[1])
+    for attack, eve_povm in instances:
+        assert (attack.ancilla_dim, eve_povm.outcome_count) == key
+        for field in ("omega", "v", "u"):
+            assert np.array_equal(getattr(attack, field), getattr(instances[-1][0], field))
+        assert np.array_equal(eve_povm.elements, instances[-1][1].elements)
+    lemma2 = [_draw_lemma2(reused), _draw_lemma2(reused), _draw_lemma2(child())]
+    for key, arrays in lemma2:
+        assert key == lemma2[-1][0]
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, lemma2[-1][1]))
 
 
 def test_chunks_do_not_change_results():
