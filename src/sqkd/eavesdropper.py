@@ -6,9 +6,13 @@ Englert and Kaszlikowski (Phys. Rev. A 71, 054303, 2005) over rank-one
 POVMs, which suffice for accessible information (Davies, IEEE Trans. Inf.
 Theory 24, 596, 1978).
 The POVM is m = max(2, d^2) vectors v_e on the ancilla, E_e = |v_e><v_e|,
-and Eve's ensemble is tau_z = p_a(z) rho_z.  One step moves every vector
-along the gradient operator G_e = sum_z tau_z log(p(z, e) / (p(z) p(e)))
-and restores completeness:
+and Eve's ensemble is tau_z = p_a(z) rho_z, so p(z, e) = <v_e|tau_z|v_e>.
+The objective and its gradient operator share one log-ratio:
+
+    I(A:E) = sum_{z,e} p(z, e) log(p(z, e) / (p(z) p(e))) / ln 2,
+    G_e = sum_z tau_z log(p(z, e) / (p(z) p(e))).
+
+One step moves every vector along G_e and restores completeness:
 
     v_e <- Lambda^{-1/2} (1 + eps G_e) v_e,
     Lambda = sum_e (1 + eps G_e) |v_e><v_e| (1 + eps G_e).
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .info import ZERO_PROB, _entropy_bits, mutual_information, shannon_entropy, von_neumann_entropy
+from .info import ZERO_PROB, mutual_information, shannon_entropy, von_neumann_entropy
 from .povm import Povm
 from .protocol import AttackModel, _evaluate_attack, _Evaluation, _joint_table
 
@@ -80,13 +84,12 @@ def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     """I(A:E) in bits of the POVM with vectors v (columns), and G_e v_e (columns)."""
     tv = tau @ v  # tau_z v_e
     table = np.clip(np.einsum("ie,zie->ze", v.conj(), tv).real, 0.0, None)
-    p_z = table.sum(axis=1, keepdims=True)
-    p_e = table.sum(axis=0, keepdims=True)
-    info = _entropy_bits(p_z) + _entropy_bits(p_e) - _entropy_bits(table)
+    marginals = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True)
     # where p(z, e) vanishes so does tau_z v_e (tau_z >= 0), and its term with it
     ratio = np.ones_like(table)
-    np.divide(table, p_z * p_e, out=ratio, where=table >= ZERO_PROB)
-    return info, np.einsum("ze,zie->ie", np.log(ratio), tv)
+    np.divide(table, marginals, out=ratio, where=table >= ZERO_PROB)
+    log_ratio = np.log(ratio)
+    return float((table * log_ratio).sum() / np.log(2.0)), np.einsum("ze,zie->ie", log_ratio, tv)
 
 
 def _completed(w: np.ndarray) -> np.ndarray | None:
@@ -166,15 +169,11 @@ def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = No
 def holevo_bound(rho0: np.ndarray, rho1: np.ndarray, p) -> float:
     """Holevo quantity chi = S(p0 rho0 + p1 rho1) - p0 S(rho0) - p1 S(rho1).
 
-    A state whose weight is below 1e-12 contributes nothing (its flagged
-    zero operator from a degenerate branch is never diagonalized).
+    Computed as S(p0 rho0 + p1 rho1) + H(p) - H(spectra of p0 rho0 and
+    p1 rho1), so a zero-weight state (the flagged zero operator of a
+    degenerate branch) adds only zero eigenvalues.
     """
-    p = np.asarray(p, dtype=float)
-    shannon_entropy(p)  # validates p as a probability pair
-    states = [np.asarray(rho0, dtype=complex), np.asarray(rho1, dtype=complex)]
-    avg = p[0] * states[0] + p[1] * states[1]
-    chi = von_neumann_entropy(avg)
-    for weight, rho in zip(p, states):
-        if weight > 1e-12:
-            chi -= weight * von_neumann_entropy(rho)
+    h_p = shannon_entropy(p)  # validates p as a probability pair
+    weighted = np.asarray(p, dtype=float)[:, None, None] * np.stack([rho0, rho1]).astype(complex)
+    chi = von_neumann_entropy(weighted.sum(axis=0)) + h_p - shannon_entropy(np.linalg.eigvalsh(weighted))
     return max(chi, 0.0)

@@ -186,7 +186,7 @@ def _joint_table(ev: _Evaluation, elements: np.ndarray) -> np.ndarray:
             f"joint-distribution routes disagree at (z={z}, e={e}): "
             f"{float(table[k, z, e])!r} vs {float(conditional[k, z, e])!r}"
         )
-    return np.stack([validate_joint(t) for t in table])
+    return validate_joint(table)
 
 
 def forward_state(attack: AttackModel) -> np.ndarray:

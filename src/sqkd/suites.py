@@ -122,7 +122,8 @@ def _draw_lemma1(child) -> tuple:
 
 
 def _lemma1_figures(key, tables) -> dict:
-    return {"slack": np.array([fidelity_information_bound(t) - mutual_information(t) for t in tables])}
+    tables = np.stack(tables)
+    return {"slack": fidelity_information_bound(tables) - mutual_information(tables)}
 
 
 def _draw_lemma2(child) -> tuple:

@@ -90,26 +90,27 @@ def _fidelity_bound(f):
     return np.sqrt(np.maximum(1.0 - 4.0 * f * f, 0.0))
 
 
-def fidelity_information_bound(table) -> float:
+def fidelity_information_bound(table):
     """Bound on I(X:Y) for a binary X from the row-overlap of the joint:
 
         I(X:Y) <= sqrt(1 - 4 F^2),  F = sum_y sqrt(p(0,y) p(1,y)).
 
-    F can exceed 1/2 only through numerical noise, so 1 - 4F^2 is
-    clamped at 0 before the square root.
+    A float for one table, an array for a stack of them.  F can exceed
+    1/2 only through numerical noise, so 1 - 4F^2 is clamped at 0 before
+    the square root.
     """
     t = validate_joint(table)
-    if t.shape[0] != 2:
-        raise ValueError(f"the x-alphabet must be binary, got {t.shape[0]} symbols")
-    return float(_fidelity_bound(np.sqrt(t[0] * t[1]).sum()))
+    if t.shape[-2] != 2:
+        raise ValueError(f"the x-alphabet must be binary, got {t.shape[-2]} symbols")
+    bound = _fidelity_bound(np.sqrt(t[..., 0, :] * t[..., 1, :]).sum(axis=-1))
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def _assess(ev: _Evaluation, elements: np.ndarray) -> tuple:
     """Joint tables (N, 2, m), I(A:E) (N,) and trade-off bounds (N,) of a
     stack of evaluated attacks and their POVM elements (N, m, d, d)."""
     joint = _joint_table(ev, elements)
-    info = np.array([mutual_information(t) for t in joint])
-    return joint, info, tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    return joint, mutual_information(joint), tradeoff_bound(ev.p_ctrl, ev.p_sift)
 
 
 def _overlap_slack(phi0: np.ndarray, phi1: np.ndarray, x: np.ndarray, elements: np.ndarray) -> np.ndarray:

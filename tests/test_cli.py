@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, **kwargs):
+    """Run a child interpreter that imports sqkd from this checkout's src,
+    which pytest's pythonpath setting does not pass on to child processes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def test_run_named_attack_stdout(capsys):
@@ -330,24 +341,17 @@ def test_run_optimize_byte_identical_reports(capsys, tmp_path):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sqkd.cli", "verify", "--suite", "lemma2",
-         "--trials", "25", "--seed", "1"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "sqkd.cli", "verify", "--suite", "lemma2", "--trials", "25", "--seed", "1")
     assert proc.returncode == 0
     assert "violations=0" in proc.stdout
 
 
 def test_cli_import_loads_no_scipy_submodules():
     code = "import sys, sqkd.cli; print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = run_python("-c", code, check=True)
     assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_suite_rejected():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sqkd.cli", "verify", "--suite", "nonsense"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "sqkd.cli", "verify", "--suite", "nonsense")
     assert proc.returncode == 2

@@ -3,8 +3,8 @@ import pytest
 
 from sqkd import linalg
 from sqkd.attacks import named_attack, random_attack
-from sqkd.eavesdropper import OptimizerConfig, accessible_information, holevo_bound
-from sqkd.info import mutual_information
+from sqkd.eavesdropper import OptimizerConfig, _ascend, _objective, _starts, accessible_information, holevo_bound
+from sqkd.info import mutual_information, von_neumann_entropy
 from sqkd.povm import DegeneracyError, Povm, basis_povm, povm_from_factors
 from sqkd.protocol import AttackModel, eve_information, sift_branch
 
@@ -209,6 +209,39 @@ def test_optimizer_config_validation():
 def test_optimizer_config_validates_on_construction():
     with pytest.raises(ValueError, match="restarts"):
         OptimizerConfig(restarts=0)
+
+
+def eve_ensemble(attack) -> np.ndarray:
+    out = sift_branch(attack)
+    return np.stack([out.p_a[z] * out.rho_eve[z] for z in (0, 1)])
+
+
+@pytest.mark.parametrize("attack", [random_attack(d, s) for d in (1, 2, 3, 4) for s in (1, 2)]
+                         + [degenerate_sift_attack(), crafted_zero_plus_attack()])
+def test_objective_is_the_mutual_information_of_its_table(attack):
+    tau = eve_ensemble(attack)
+    m = max(2, attack.ancilla_dim ** 2)
+    for v0 in _starts(tau, m, OptimizerConfig(restarts=4, seed=3)):
+        for v in (v0, _ascend(tau, v0, 25)[0]):
+            table = np.einsum("ie,zij,je->ze", v.conj(), tau, v).real
+            assert abs(_objective(tau, v)[0] - mutual_information(table)) <= 1e-12
+
+
+def per_state_holevo(rho0, rho1, p) -> float:
+    """chi = S(p0 rho0 + p1 rho1) - sum_z p_z S(rho_z), skipping states of weight <= 1e-12."""
+    chi = von_neumann_entropy(p[0] * rho0 + p[1] * rho1)
+    for weight, rho in zip(p, (rho0, rho1)):
+        if weight > 1e-12:
+            chi -= weight * von_neumann_entropy(rho)
+    return max(chi, 0.0)
+
+
+@pytest.mark.parametrize("attack", [random_attack(d, s) for d in (1, 2, 3, 4) for s in range(5)]
+                         + [degenerate_sift_attack(), crafted_zero_plus_attack()])
+def test_holevo_matches_the_per_state_formula(attack):
+    out = sift_branch(attack)
+    expected = per_state_holevo(*out.rho_eve, out.p_a)
+    assert abs(holevo_bound(*out.rho_eve, out.p_a) - expected) <= 1e-12
 
 
 def test_holevo_identical_states():

@@ -3,6 +3,7 @@ import pytest
 
 from sqkd import info
 from sqkd.info import mutual_information, shannon_entropy, validate_joint, von_neumann_entropy
+from sqkd.tradeoff import fidelity_information_bound
 
 # frozen with a 40-digit evaluation of the binary entropy formula
 H_ONE_FIFTH = 0.7219280948873623
@@ -89,6 +90,42 @@ def test_validate_joint_clamps_and_rejects():
         validate_joint([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError):
         validate_joint([0.5, 0.5])
+
+
+def stacked_tables(m):
+    """60 joint tables (2, m) with exact zeros and entries below 1e-15."""
+    rng = np.random.default_rng(m)
+    tables = rng.random((60, 2, m))
+    tables[rng.random(tables.shape) < 0.3] = 0.0
+    tables[:, 0, 0] += 0.1
+    tables /= tables.sum(axis=(1, 2), keepdims=True)
+    tables[(tables == 0.0) & (rng.random(tables.shape) < 0.5)] = 3e-16
+    return tables
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_table_functions_on_a_stack_equal_the_per_table_calls(m):
+    tables = stacked_tables(m)
+    assert np.array_equal(validate_joint(tables), np.stack([validate_joint(t) for t in tables]))
+    for fn in (mutual_information, fidelity_information_bound):
+        per_table = [fn(t) for t in tables]
+        assert all(type(v) is float for v in per_table)
+        stacked = fn(tables)
+        assert stacked.shape == (len(tables),)
+        assert stacked.tolist() == per_table
+
+
+def test_one_bad_table_in_a_stack_raises():
+    tables = stacked_tables(3)
+    good = tables[17].copy()
+    tables[17] = 0.5
+    for fn in (validate_joint, mutual_information, fidelity_information_bound):
+        with pytest.raises(ValueError, match=r"sums to 3\.0,"):
+            fn(tables)
+    tables[17] = good
+    tables[23, 1, 2] = -1e-6
+    with pytest.raises(ValueError, match="negative entry"):
+        mutual_information(tables)
 
 
 def test_von_neumann_entropy():
