@@ -19,12 +19,14 @@ One step moves every vector along G_e and restores completeness:
 
 A step is kept only if the information does not drop.  Otherwise eps is
 halved, as it is while Lambda is near-singular; after a kept step it
-doubles.  Start 0 is the eigenbasis of tau_0 - tau_1, which refines the
-Helstrom measurement, so the result never falls below the Helstrom
-information.  Start 1 is the computational basis, the others are seeded
-random POVMs.  Every iterate is a valid POVM, so the reported information
-is achieved: a lower bound on the accessible information, with the Holevo
-quantity as the ceiling above it.
+doubles.  All starts advance together as one stack of R vector sets
+(R, d, m), each with its own eps and its own stop rule; a start leaves
+the stack when it stops.  Start 0 is the eigenbasis of tau_0 - tau_1,
+which refines the Helstrom measurement, so the result never falls below
+the Helstrom information.  Start 1 is the computational basis, the others
+are seeded random POVMs.  Every iterate is a valid POVM, so the reported
+information is achieved: a lower bound on the accessible information,
+with the Holevo quantity as the ceiling above it.
 """
 
 from dataclasses import dataclass, field
@@ -39,6 +41,7 @@ from .protocol import AttackModel, _evaluate_attack, _Evaluation, _joint_table
 FLAT_GAIN = 1e-12  # bits: a kept step that gains less ends the start
 MIN_STEP = 1e-12  # eps below this ends the start
 SINGULAR_TOL = 1e-6  # Lambda is near-singular below this eigenvalue ratio
+_STOP_REASONS = ("iterations", "flat", "step")
 
 
 @dataclass
@@ -71,59 +74,71 @@ class AccessibleInfoResult:
     restart_values[k] is the information start k ended at and
     stop_reasons[k] why it ended: "flat" (a kept step gained less than
     1e-12 bits), "step" (eps fell below 1e-12) or "iterations"
-    (max_iterations steps tried).
+    (max_iterations steps tried); steps[k] counts the steps it tried.
     """
 
     info: float
     povm: Povm
     stop_reasons: list = field(default_factory=list)
     restart_values: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
 
 
-def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """I(A:E) in bits of the POVM with vectors v (columns), and G_e v_e (columns)."""
-    tv = tau @ v  # tau_z v_e
-    table = np.clip(np.einsum("ie,zie->ze", v.conj(), tv).real, 0.0, None)
-    marginals = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True)
+def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I(A:E) in bits of each POVM of the stack v (R, d, m; vectors as columns),
+    and G_e v_e (columns) for each."""
+    tv = tau @ v[:, None]  # tau_z v_e, (R, 2, d, m)
+    table = np.clip(np.einsum("rie,rzie->rze", v.conj(), tv).real, 0.0, None)
+    marginals = table.sum(axis=-1, keepdims=True) * table.sum(axis=-2, keepdims=True)
     # where p(z, e) vanishes so does tau_z v_e (tau_z >= 0), and its term with it
     ratio = np.ones_like(table)
     np.divide(table, marginals, out=ratio, where=table >= ZERO_PROB)
     log_ratio = np.log(ratio)
-    return float((table * log_ratio).sum() / np.log(2.0)), np.einsum("ze,zie->ie", log_ratio, tv)
+    info = (table * log_ratio).sum(axis=(-2, -1)) / np.log(2.0)
+    return info, np.einsum("rze,rzie->rie", log_ratio, tv)
 
 
-def _completed(w: np.ndarray) -> np.ndarray | None:
-    """Lambda^{-1/2} w with Lambda = w w^dag, or None if Lambda is near-singular."""
-    lam, q = np.linalg.eigh(w @ w.conj().T)
-    if lam[0] <= SINGULAR_TOL * lam[-1]:
-        return None
-    return (q / np.sqrt(lam)) @ (q.conj().T @ w)
+def _completed(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda^{-1/2} w with Lambda = w w^dag for each w of the stack where
+    Lambda is not near-singular, and the mask of those w."""
+    lam, q = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
+    ok = lam[:, 0] > SINGULAR_TOL * lam[:, -1]
+    lam, q = lam[ok], q[ok]
+    return (q / np.sqrt(lam)[:, None, :]) @ (q.conj().swapaxes(-1, -2) @ w[ok]), ok
 
 
-def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.ndarray, float, str]:
-    """Monotone ascent from the vectors v; returns the last kept vectors,
-    their information and the stop reason."""
+def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+    """Monotone ascent from every start of the stack v (R, d, m) at once.
+
+    Each start keeps its own eps and stop rule and leaves the live stack
+    when it stops.  Returns the last kept vectors, their information, the
+    stop reasons and the steps each start tried."""
+    v = np.array(v, dtype=complex)
     info, grad = _objective(tau, v)
-    eps = 1.0
+    eps = np.ones(len(v))
+    steps = np.zeros(len(v), dtype=int)
+    stop = np.zeros(len(v), dtype=int)  # index into _STOP_REASONS; 0 while live
+    live = np.arange(len(v))
     for _ in range(max_iterations):
-        trial = _completed(v + eps * grad)
-        if trial is not None:
-            trial_info, trial_grad = _objective(tau, trial)
-            if trial_info >= info:
-                gain = trial_info - info
-                v, info, grad = trial, trial_info, trial_grad
-                if gain < FLAT_GAIN:
-                    return v, info, "flat"
-                eps *= 2.0
-                continue
-        eps /= 2.0
-        if eps < MIN_STEP:
-            return v, info, "step"
-    return v, info, "iterations"
+        if not live.size:
+            break
+        steps[live] += 1
+        trial, ok = _completed(v[live] + eps[live, None, None] * grad[live])
+        trial_info, trial_grad = _objective(tau, trial)
+        up = trial_info >= info[live[ok]]
+        kept = live[ok][up]
+        gain = trial_info[up] - info[kept]
+        v[kept], info[kept], grad[kept] = trial[up], trial_info[up], trial_grad[up]
+        eps[live] /= 2.0
+        eps[kept] *= 4.0  # so a kept step doubles eps and any other halves it
+        stop[kept[gain < FLAT_GAIN]] = 1
+        stop[live[eps[live] < MIN_STEP]] = 2  # a kept step's eps is still >= 2 MIN_STEP
+        live = live[stop[live] == 0]
+    return v, info, [_STOP_REASONS[k] for k in stop], steps
 
 
-def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> list:
-    """Start vectors (d x m, columns v_e): the eigenbasis of tau_0 - tau_1 and
+def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> np.ndarray:
+    """Start vectors (R, d, m; columns v_e): the eigenbasis of tau_0 - tau_1 and
     the computational basis, each padded with zero vectors, then random POVMs."""
     d = tau.shape[1]
     bases = [np.linalg.eigh(tau[0] - tau[1])[1], np.eye(d, dtype=complex)]
@@ -131,7 +146,7 @@ def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> list:
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[2:]:
         # d rows of a Haar unitary on C^m: a uniformly random rank-one POVM
         starts.append(linalg.haar_unitary(m, child)[:d])
-    return starts[: cfg.restarts]
+    return np.stack(starts[: cfg.restarts])
 
 
 def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
@@ -141,27 +156,20 @@ def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None)
     m = max(2, d * d)
     tau = ev.p_a[0, :, None, None] * ev.rho_eve[0]
 
-    best_v, best_info = None, -np.inf
-    stop_reasons, restart_values = [], []
-    for v0 in _starts(tau, m, cfg):
-        v, info, reason = _ascend(tau, v0, cfg.max_iterations)
-        stop_reasons.append(reason)
-        restart_values.append(info)
-        if info > best_info:
-            best_v, best_info = v, info
-
-    best_povm = Povm(tuple(linalg.projector(v) for v in best_v.T))
+    v, info, stop_reasons, steps = _ascend(tau, _starts(tau, m, cfg), cfg.max_iterations)
+    best_povm = Povm(tuple(linalg.projector(x) for x in v[np.argmax(info)].T))
     # the reported value always comes from the full dual-route evaluation
     achieved = mutual_information(_joint_table(ev, best_povm.elements[None])[0])
-    return AccessibleInfoResult(achieved, best_povm, stop_reasons, restart_values)
+    return AccessibleInfoResult(achieved, best_povm, stop_reasons, info.tolist(), steps.tolist())
 
 
 def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
     """Best I(A:E) found over POVMs on the ancilla, with the POVM achieving it.
 
     Runs the ascent from `cfg.restarts` starts (see the module docstring)
-    and keeps the best, ties broken by lower start index.  Each start's
-    stop reason is reported in `stop_reasons`, never raised.
+    and keeps the best, ties broken by lower start index.  The starts
+    advance together as one stack, each with its own eps and stop rule.
+    Each start's stop reason is reported in `stop_reasons`, never raised.
     """
     return _accessible_information(_evaluate_attack(attack), cfg)
 

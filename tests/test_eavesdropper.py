@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqkd import linalg
+from sqkd import eavesdropper, linalg
 from sqkd.attacks import named_attack, random_attack
 from sqkd.eavesdropper import OptimizerConfig, _ascend, _objective, _starts, accessible_information, holevo_bound
 from sqkd.info import mutual_information, von_neumann_entropy
@@ -222,9 +222,126 @@ def test_objective_is_the_mutual_information_of_its_table(attack):
     tau = eve_ensemble(attack)
     m = max(2, attack.ancilla_dim ** 2)
     for v0 in _starts(tau, m, OptimizerConfig(restarts=4, seed=3)):
-        for v in (v0, _ascend(tau, v0, 25)[0]):
+        for v in (v0, _ascend(tau, v0[None], 25)[0][0]):
             table = np.einsum("ie,zij,je->ze", v.conj(), tau, v).real
-            assert abs(_objective(tau, v)[0] - mutual_information(table)) <= 1e-12
+            assert abs(_objective(tau, v[None])[0][0] - mutual_information(table)) <= 1e-12
+
+
+# reference: the ascent run one start at a time, with the step rules of the
+# module docstring written out per start
+def per_start_objective(tau, v):
+    tv = tau @ v
+    table = np.clip(np.einsum("ie,zie->ze", v.conj(), tv).real, 0.0, None)
+    marginals = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True)
+    ratio = np.ones_like(table)
+    np.divide(table, marginals, out=ratio, where=table >= 1e-15)
+    log_ratio = np.log(ratio)
+    return float((table * log_ratio).sum() / np.log(2.0)), np.einsum("ze,zie->ie", log_ratio, tv)
+
+
+def per_start_completed(w):
+    lam, q = np.linalg.eigh(w @ w.conj().T)
+    if lam[0] <= eavesdropper.SINGULAR_TOL * lam[-1]:
+        return None
+    return (q / np.sqrt(lam)) @ (q.conj().T @ w)
+
+
+def per_start_ascend(tau, v, max_iterations):
+    """The last kept vectors, their information, the stop reason and the steps tried."""
+    info, grad = per_start_objective(tau, v)
+    eps = 1.0
+    for step in range(1, max_iterations + 1):
+        trial = per_start_completed(v + eps * grad)
+        if trial is not None:
+            trial_info, trial_grad = per_start_objective(tau, trial)
+            if trial_info >= info:
+                gain = trial_info - info
+                v, info, grad = trial, trial_info, trial_grad
+                if gain < 1e-12:
+                    return v, info, "flat", step
+                eps *= 2.0
+                continue
+        eps /= 2.0
+        if eps < 1e-12:
+            return v, info, "step", step
+    return v, info, "iterations", max_iterations
+
+
+def per_start_solve(attack, cfg):
+    """(restart_values, stop_reasons, steps, best POVM elements) of the per-start loop."""
+    tau = eve_ensemble(attack)
+    m = max(2, attack.ancilla_dim ** 2)
+    runs = [per_start_ascend(tau, v0, cfg.max_iterations) for v0 in _starts(tau, m, cfg)]
+    best = max(range(len(runs)), key=lambda k: (runs[k][1], -k))
+    elements = np.stack([linalg.projector(v) for v in runs[best][0].T])
+    return [r[1] for r in runs], [r[2] for r in runs], [r[3] for r in runs], elements
+
+
+def assert_matches_per_start(attack, cfg):
+    result = accessible_information(attack, cfg)
+    values, reasons, steps, elements = per_start_solve(attack, cfg)
+    assert result.restart_values == values
+    assert result.stop_reasons == reasons
+    assert result.steps == steps
+    assert np.array_equal(result.povm.elements, elements)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["identity", "forward-cnot", "partial-return-cz(0.7)", "partial-forward-cnot(0.4)"]
+    + [(d, s) for d in (2, 3, 4) for s in (1, 5)],
+    ids=str,
+)
+def test_stacked_ascent_equals_the_per_start_loop(case):
+    attack = named_attack(case) if isinstance(case, str) else random_attack(*case)
+    assert_matches_per_start(attack, OptimizerConfig(restarts=8, seed=0))
+
+
+@pytest.mark.parametrize("attack", [random_attack(1, 3), degenerate_sift_attack()], ids=["d=1", "p_a(1)=0"])
+def test_stacked_ascent_equals_the_per_start_loop_on_edge_cases(attack):
+    with np.errstate(all="raise"):
+        assert_matches_per_start(attack, OptimizerConfig(restarts=8, seed=0))
+
+
+def test_stacked_ascent_rejects_a_near_singular_step_while_others_go_on(monkeypatch):
+    # a loose tolerance makes some early large steps near-singular
+    monkeypatch.setattr(eavesdropper, "SINGULAR_TOL", 0.1)
+    masks = []
+    completed = eavesdropper._completed
+
+    def recording(w):
+        trial, ok = completed(w)
+        masks.append(ok)
+        return trial, ok
+
+    monkeypatch.setattr(eavesdropper, "_completed", recording)
+    assert_matches_per_start(random_attack(3, 5), OptimizerConfig(restarts=8, seed=0))
+    assert any(not ok.all() and ok.any() for ok in masks)
+
+
+def test_all_starts_share_one_completion_per_step(monkeypatch):
+    calls = []
+    completed = eavesdropper._completed
+
+    def counting(w):
+        calls.append(len(w))
+        return completed(w)
+
+    monkeypatch.setattr(eavesdropper, "_completed", counting)
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    accessible_information(random_attack(4, 1), cfg)
+    assert len(calls) <= cfg.max_iterations + 1
+    assert calls[0] == 8  # every start is in the first stack
+
+
+@pytest.mark.parametrize("max_iterations", [0, 1, 40, 2000])
+def test_steps_reach_the_cap_exactly_when_a_start_stops_on_iterations(max_iterations):
+    cfg = OptimizerConfig(restarts=8, seed=0, max_iterations=max_iterations)
+    result = accessible_information(random_attack(4, 1), cfg)
+    assert len(result.steps) == len(result.stop_reasons) == 8
+    for reason, steps in zip(result.stop_reasons, result.steps):
+        assert (reason == "iterations") == (steps == max_iterations)
+        assert 0 <= steps <= max_iterations
 
 
 def per_state_holevo(rho0, rho1, p) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sqkd import linalg
 from sqkd.attacks import named_attack, random_attack
 from sqkd.povm import random_povm
 from sqkd.serialize import (
@@ -44,6 +45,44 @@ def test_attack_document_rejects_non_unitary(tmp_path):
     write_document(doc, path)
     with pytest.raises(ValueError, match="deviation"):
         parse_attack_file(path)
+
+
+def scaled_attack_file(tmp_path, field, deviation):
+    """An attack file whose `field` is a valid one's scaled by 1 + delta, with
+    2 delta + delta^2 = deviation: the deviation of V^dag V from 1, or of
+    |omega|^2 from 1, the scaling puts there."""
+    delta = np.sqrt(1.0 + deviation) - 1.0
+    doc = attack_to_dict(random_attack(3, 42))
+    doc[field] = (np.array(doc[field]) * (1.0 + delta)).tolist()
+    path = tmp_path / f"{field}.json"
+    write_document(doc, path)
+    return path
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+def test_attack_file_at_the_unitarity_tolerance(tmp_path, side):
+    deviation = linalg.TOL_UNITARY * (1 + side * 1e-3)
+    path = scaled_attack_file(tmp_path, "v", deviation)
+    v = np.array(json.loads(path.read_text())["v"]) @ [1, 1j]
+    assert abs(linalg.unitary_deviation(v) - deviation) <= 1e-14
+    if side < 0:
+        assert np.array_equal(parse_attack_file(path).v, v)
+    else:
+        with pytest.raises(ValueError, match="V is not unitary"):
+            parse_attack_file(path)
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+def test_attack_file_at_the_normalization_tolerance(tmp_path, side):
+    deviation = linalg.TOL_NORM * (1 + side * 1e-3)
+    path = scaled_attack_file(tmp_path, "omega", deviation)
+    omega = np.array(json.loads(path.read_text())["omega"]) @ [1, 1j]
+    assert abs(np.vdot(omega, omega).real - 1.0 - deviation) <= 1e-14
+    if side < 0:
+        assert np.array_equal(parse_attack_file(path).omega, omega)
+    else:
+        with pytest.raises(ValueError, match="omega is not normalized"):
+            parse_attack_file(path)
 
 
 def test_attack_document_missing_field():
