@@ -24,24 +24,26 @@ def _cz() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
-def _involutory_power(gate: np.ndarray, t: float) -> np.ndarray:
-    """Fractional power G^t of a Hermitian unitary gate.
+def _involutory_power(gate: np.ndarray, t) -> np.ndarray:
+    """Fractional power G^t of a Hermitian unitary gate, for one t or a stack of them.
 
     G^t = exp(i pi t P) with P the projector onto G's -1 eigenspace,
     which interpolates smoothly from the identity (t=0) to G (t=1).
     """
     p = (np.eye(gate.shape[0]) - gate) / 2.0
-    return np.eye(gate.shape[0], dtype=complex) + (np.exp(1j * np.pi * t) - 1.0) * p
+    return np.eye(gate.shape[0], dtype=complex) + (np.exp(1j * np.pi * t) - 1.0)[..., None, None] * p
 
 
-def _forward(v: np.ndarray) -> AttackModel:
-    """Eve acts on the way to Alice only, with omega = |0>."""
-    return AttackModel(2, linalg.basis_state(2, 0), v, np.eye(4, dtype=complex))
+def _forward(v: np.ndarray) -> tuple:
+    """Eve acts on the way to Alice only, with omega = |0>: (omega, V, U), stacked like V."""
+    omega = np.broadcast_to(linalg.basis_state(2, 0), v.shape[:-2] + (2,))
+    return omega, v, np.broadcast_to(np.eye(4, dtype=complex), v.shape)
 
 
-def _returning(u: np.ndarray) -> AttackModel:
-    """Eve acts on the way back only, with omega = |+>."""
-    return AttackModel(2, linalg.ket_plus(), np.eye(4, dtype=complex), u)
+def _returning(u: np.ndarray) -> tuple:
+    """Eve acts on the way back only, with omega = |+>: (omega, V, U), stacked like U."""
+    omega = np.broadcast_to(linalg.ket_plus(), u.shape[:-2] + (2,))
+    return omega, np.broadcast_to(np.eye(4, dtype=complex), u.shape), u
 
 
 _FIXED = {
@@ -54,9 +56,18 @@ FAMILIES = {
     "partial-forward-cnot": lambda theta: _forward(_involutory_power(_cnot(), theta / (np.pi / 2))),
     "partial-return-cz": lambda theta: _returning(_involutory_power(_cz(), theta / (np.pi / 2))),
 }
-"""Family name -> theta-builder: theta = 0 is no attack, theta = pi/2 the full gate."""
+"""Family name -> theta-builder of (omega, V, U), stacked for an array of thetas: 0 is no attack, pi/2 the full gate."""
 
 NAMES = (*_FIXED, *FAMILIES)
+
+
+def family_stack(name: str, thetas) -> tuple:
+    """(omega, V, U) stacks of family `name` at each theta of a 1-d array, checked against [0, pi/2]."""
+    thetas = np.asarray(thetas, dtype=float)
+    bad = ~((0.0 <= thetas) & (thetas <= np.pi / 2 + 1e-12))  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"theta {float(thetas[np.argmax(bad)])!r} outside [0, pi/2]")
+    return FAMILIES[name](thetas)
 
 
 def named_attack(name: str, theta: float | None = None) -> AttackModel:
@@ -64,7 +75,7 @@ def named_attack(name: str, theta: float | None = None) -> AttackModel:
 
     The fixed attacks (identity, forward-cnot, return-cz) take no theta;
     the FAMILIES take theta in [0, pi/2], embedded in the name
-    ("partial-return-cz(0.3)") or passed separately.
+    ("partial-return-cz(0.3)") or passed separately, through family_stack.
     """
     m = _NAME_WITH_ARG.match(name.strip())
     if m:
@@ -74,15 +85,12 @@ def named_attack(name: str, theta: float | None = None) -> AttackModel:
     if name in _FIXED:
         if theta is not None:
             raise ValueError(f"attack {name!r} takes no theta")
-        return _FIXED[name]()
+        return AttackModel(2, *_FIXED[name]())
     if name not in FAMILIES:
         raise ValueError(f"unknown attack name {name!r}; known: {list(NAMES)}")
     if theta is None:
         raise ValueError(f"attack {name!r} needs a theta parameter")
-    theta = float(theta)
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError(f"theta {theta!r} outside [0, pi/2]")
-    return FAMILIES[name](theta)
+    return AttackModel(2, *(x[0] for x in family_stack(name, [float(theta)])))
 
 
 def random_attack(d: int, seed) -> AttackModel:
@@ -104,12 +112,9 @@ def hermitian_from_params(params: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"expected {n * n} parameters, got {params.shape}")
     h = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(h, params[:n])
-    idx = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = params[idx] + 1j * params[idx + 1]
-            h[j, i] = params[idx] - 1j * params[idx + 1]
-            idx += 2
+    i, j = np.triu_indices(n, 1)
+    h[i, j] = params[n::2] + 1j * params[n + 1::2]
+    h[j, i] = params[n::2] - 1j * params[n + 1::2]
     return h
 
 

@@ -15,10 +15,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .attacks import FAMILIES, NAMES, named_attack, parameterized_attack
+from .attacks import FAMILIES, NAMES, family_stack, named_attack, parameterized_attack
 from .eavesdropper import OptimizerConfig, _accessible_information, accessible_information, holevo_bound
 from .povm import basis_povm
-from .protocol import _CHUNK, _evaluate, _evaluate_attack
+from .protocol import _CHUNK, _evaluate, _evaluate_attack, check_attacks
 from .serialize import (
     attack_to_dict,
     parse_attack_file,
@@ -28,7 +28,7 @@ from .serialize import (
     write_document,
 )
 from .suites import SUITE_NAMES, run_suite
-from .tradeoff import SLACK_TOL, _assess, tradeoff_bound, verify_tradeoff
+from .tradeoff import SLACK_TOL, _assess, _report, tradeoff_bound, verify_tradeoff
 
 SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
 RESTARTS_HELP = ("POVM optimizer starts: the eigenbasis of p_a(0) rho_0 - p_a(1) rho_1, "
@@ -41,6 +41,14 @@ def _versions() -> dict:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _emit(text: str, out) -> None:
+    """Write a command's output to the --out file, or to stdout without one."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _family_theta(args, form: str) -> str:
@@ -70,13 +78,12 @@ def _resolve_attack(args) -> tuple:
     return named_attack(args.family, theta), {"family": args.family, "theta": theta}
 
 
-def _resolve_povm(source: str, attack, args):
-    """POVM from a named basis, a file, or the optimizer (with its result)."""
+def _resolve_povm(source: str, ev, args):
+    """POVM for an evaluated attack (a stack of one): a named basis, a file, or the optimizer's (with its result)."""
     if source in ("z", "x"):
-        return basis_povm(attack.ancilla_dim, source), source, None
+        return basis_povm(ev.rho_eve.shape[-1], source), source, None
     if source == "optimize":
-        cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        found = accessible_information(attack, cfg)
+        found = _accessible_information(ev, OptimizerConfig(restarts=args.restarts, seed=args.seed))
         return found.povm, "optimize", found
     if Path(source).exists():
         return parse_povm_file(source), {"file": source}, None
@@ -85,8 +92,9 @@ def _resolve_povm(source: str, attack, args):
 
 def cmd_run(args) -> int:
     attack, attack_source = _resolve_attack(args)
-    eve_povm, povm_source, found = _resolve_povm(args.povm, attack, args)
-    report = verify_tradeoff(attack, eve_povm)
+    ev = _evaluate_attack(attack)
+    eve_povm, povm_source, found = _resolve_povm(args.povm, ev, args)
+    report = _report(ev, eve_povm)
     doc = {
         "command": "run",
         "versions": _versions(),
@@ -103,9 +111,7 @@ def cmd_run(args) -> int:
             "restart_values": [float(v) for v in found.restart_values],
             "info_interval": [found.info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)],
         }
-    text = write_document(doc, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(write_document(doc), args.out)
     return 0 if report.holds else 1
 
 
@@ -120,25 +126,22 @@ def cmd_sweep(args) -> int:
     rows, holds, eve_povm = [], True, None
     for first in range(0, count, _CHUNK):
         thetas = grid[first:first + _CHUNK]
-        attacks = [named_attack(args.family, float(theta)) for theta in thetas]
+        stack = family_stack(args.family, thetas)
+        check_attacks(stack[0].shape[-1], *stack)
+        ev = _evaluate(*stack)
         if args.povm == "optimize":
-            povms = [_resolve_povm(args.povm, attack, args)[0] for attack in attacks]
+            povms = [_resolve_povm(args.povm, _evaluate(*(x[None] for x in point)), args)[0] for point in zip(*stack)]
         else:
             # every point of a family shares the ancilla dimension, so z, x or a file resolves once
-            eve_povm = _resolve_povm(args.povm, attacks[0], args)[0] if eve_povm is None else eve_povm
-            povms = [eve_povm] * len(attacks)
-        ev = _evaluate(*(np.stack([getattr(a, f) for a in attacks]) for f in ("omega", "v", "u")))
+            eve_povm = _resolve_povm(args.povm, ev, args)[0] if eve_povm is None else eve_povm
+            povms = [eve_povm] * len(thetas)
         _, info, rhs = _assess(ev, np.stack([p.elements for p in povms]))
         gap = rhs - info
         ok = gap >= SLACK_TOL
         holds = holds and bool(ok.all())
         rows += [",".join([args.family, *map(_fmt, row[:-1]), "true" if row[-1] else "false"])
                  for row in zip(thetas, ev.p_ctrl, ev.p_sift, info, rhs, gap, ok)]
-    text = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _emit(SWEEP_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
     return 0 if holds else 1
 
 
@@ -202,9 +205,7 @@ def cmd_optimize(args) -> int:
         "povm": povm_to_dict(final.povm),
         "report": report_to_dict(report),
     }
-    text = write_document(doc, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(write_document(doc), args.out)
     return 0 if report.holds else 1
 
 

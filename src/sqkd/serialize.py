@@ -4,7 +4,7 @@ Complex numbers are [re, im] pairs; matrices are row-major nested
 lists.  Floats go through Python's shortest round-trip repr, so parsing
 a document back reproduces the binary64 values bit for bit.
 
-Attack documents:
+Attack documents, with ancilla_dim an integral number:
     {"ancilla_dim": d, "omega": [[re, im], ...],
      "v": [[[re, im], ...], ...], "u": [[[re, im], ...], ...]}
 
@@ -20,40 +20,29 @@ from .povm import Povm
 from .protocol import AttackModel
 
 
-def _complex_to_pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+def _to_pairs(a: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs of a complex array."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _vector_to_pairs(v: np.ndarray) -> list:
-    return [_complex_to_pair(z) for z in v]
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [_vector_to_pairs(row) for row in m]
-
-
-def _pairs_to_vector(pairs, name: str) -> np.ndarray:
+def _from_pairs(value, name: str, ndim: int) -> np.ndarray:
+    """The complex array of `ndim` axes that `value` holds as nested [re, im] pairs;
+    ValueError naming the field `name` if it holds anything else."""
     try:
-        arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: expected [re, im] pairs ({exc})") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"{name}: expected a list of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _pairs_to_matrix(rows, name: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ValueError(f"{name}: expected a non-empty list of rows")
-    return np.stack([_pairs_to_vector(row, f"{name} row {i}") for i, row in enumerate(rows)])
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: expected nested [re, im] pairs ({exc})") from exc
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValueError(f"{name}: expected {ndim}-axis nested lists of [re, im] pairs, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def attack_to_dict(attack: AttackModel) -> dict:
     return {
         "ancilla_dim": attack.ancilla_dim,
-        "omega": _vector_to_pairs(attack.omega),
-        "v": _matrix_to_pairs(attack.v),
-        "u": _matrix_to_pairs(attack.u),
+        "omega": _to_pairs(attack.omega),
+        "v": _to_pairs(attack.v),
+        "u": _to_pairs(attack.u),
     }
 
 
@@ -61,25 +50,25 @@ def attack_from_dict(doc: dict) -> AttackModel:
     for key in ("ancilla_dim", "omega", "v", "u"):
         if key not in doc:
             raise ValueError(f"attack document is missing the {key!r} field")
+    d = doc["ancilla_dim"]
+    if not (type(d) is int or (type(d) is float and d.is_integer())):  # so true, NaN and inf fail
+        raise ValueError(f"ancilla_dim must be an integer, got {d!r}")
     return AttackModel(
-        ancilla_dim=int(doc["ancilla_dim"]),
-        omega=_pairs_to_vector(doc["omega"], "omega"),
-        v=_pairs_to_matrix(doc["v"], "v"),
-        u=_pairs_to_matrix(doc["u"], "u"),
+        ancilla_dim=int(d),
+        omega=_from_pairs(doc["omega"], "omega", 1),
+        v=_from_pairs(doc["v"], "v", 2),
+        u=_from_pairs(doc["u"], "u", 2),
     )
 
 
 def povm_to_dict(eve_povm: Povm) -> dict:
-    return {"elements": [_matrix_to_pairs(e) for e in eve_povm.elements]}
+    return {"elements": _to_pairs(eve_povm.elements)}
 
 
 def povm_from_dict(doc: dict) -> Povm:
     if "elements" not in doc:
         raise ValueError("POVM document is missing the 'elements' field")
-    elements = [
-        _pairs_to_matrix(rows, f"element {i}") for i, rows in enumerate(doc["elements"])
-    ]
-    return Povm(tuple(elements))
+    return Povm(_from_pairs(doc["elements"], "elements", 3))
 
 
 def _load_json(path) -> dict:

@@ -216,7 +216,11 @@ def _proof_chain(ev: _Evaluation, elements: np.ndarray, joint: np.ndarray, info:
 def verify_tradeoff(attack: AttackModel, eve_povm: Povm) -> TradeoffReport:
     """Evaluate both sides of the trade-off bound for a concrete attack
     and POVM, with the full derivation certificate attached."""
-    ev = _evaluate_attack(attack)
+    return _report(_evaluate_attack(attack), eve_povm)
+
+
+def _report(ev: _Evaluation, eve_povm: Povm) -> TradeoffReport:
+    """verify_tradeoff of an evaluated attack (a stack of one)."""
     elements = eve_povm.elements[None]
     joint, info, rhs = _assess(ev, elements)
     gap = float(rhs[0] - info[0])

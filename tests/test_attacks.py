@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from sqkd import linalg
 from sqkd.attacks import (
     FAMILIES,
+    family_stack,
     hermitian_from_params,
     named_attack,
     parameterized_attack,
@@ -68,6 +69,25 @@ def test_family_builders_are_continuous():
                 assert np.max(np.abs(m_a - m_b)) <= slope_bound * delta
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_named_attack_is_a_slice_of_the_family_stack(family):
+    thetas = np.concatenate([np.linspace(0.0, np.pi / 2, 9), np.random.default_rng(2).uniform(0.0, np.pi / 2, 7)])
+    omega, v, u = family_stack(family, thetas)
+    assert (omega.shape, v.shape, u.shape) == ((16, 2), (16, 4, 4), (16, 4, 4))
+    for k, theta in enumerate(thetas):
+        attack = named_attack(family, theta)
+        one = FAMILIES[family](theta)
+        for got, one_theta, stacked in zip((attack.omega, attack.v, attack.u), one, (omega, v, u)):
+            assert np.array_equal(got, stacked[k]) and np.array_equal(one_theta, stacked[k])
+
+
+def test_family_stack_names_the_first_theta_outside_the_range():
+    with pytest.raises(ValueError, match=r"^theta nan outside"):
+        family_stack("partial-return-cz", [0.1, np.nan, 3.0])
+    with pytest.raises(ValueError, match=r"^theta 3\.0 outside"):
+        family_stack("partial-return-cz", [0.1, 3.0, -1.0])
+
+
 def test_family_rejects_out_of_bounds():
     with pytest.raises(ValueError, match="outside"):
         named_attack("partial-forward-cnot", 3.2)
@@ -117,6 +137,27 @@ def test_hermitian_from_params_roundtrip():
     h = hermitian_from_params(params, 4)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
     assert np.allclose(np.diag(h).real, params[:4])
+
+
+def hermitian_by_entries(params: np.ndarray, n: int) -> np.ndarray:
+    """hermitian_from_params entry by entry: the reference for its triangle-index form."""
+    h = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(h, params[:n])
+    idx = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            h[i, j] = params[idx] + 1j * params[idx + 1]
+            h[j, i] = params[idx] - 1j * params[idx + 1]
+            idx += 2
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_hermitian_from_params_matches_the_entry_loop(n):
+    params = np.random.default_rng(n).standard_normal(n * n)
+    params[n::3] = -0.0  # the signs of zeros must match too
+    h = hermitian_from_params(params, n)
+    assert np.array_equal(h.view(np.int64), hermitian_by_entries(params, n).view(np.int64))
 
 
 def test_parameterized_zero_vector_is_identity_attack():

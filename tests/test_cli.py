@@ -111,6 +111,33 @@ def test_run_rejects_nan_attack_file(capsys, tmp_path, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+MALFORMED = [("attack", raw) for raw in ("null", "[2]", "1e400", "2.7", '"2"', "true", "NaN", "-Infinity")]
+
+
+@pytest.mark.parametrize("kind, raw", MALFORMED + [("povm", "null"), ("povm", "5")])
+def test_run_rejects_malformed_documents_with_exit_two(capsys, tmp_path, kind, raw):
+    # a wrongly typed field is an input error (exit 2), not a traceback with exit 1
+    path = tmp_path / f"{kind}.json"
+    if kind == "attack":
+        text = json.dumps(attack_to_dict(named_attack("identity"))).replace('"ancilla_dim": 2', f'"ancilla_dim": {raw}')
+        argv, field = ["--attack", str(path)], "ancilla_dim"
+    else:
+        text, argv, field = f'{{"elements": {raw}}}', ["--attack", "identity", "--povm", str(path)], "elements"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+def test_run_optimize_evaluates_the_attack_once(capsys, monkeypatch):
+    calls = []
+    evaluate = protocol._evaluate
+    monkeypatch.setattr(protocol, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    code, _, _ = run_cli(capsys, "run", "--attack", "forward-cnot", "--povm", "optimize", "--restarts", "2")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_run_with_optimized_povm(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--attack", "forward-cnot", "--povm", "optimize",
@@ -187,6 +214,29 @@ def test_sweep_resolves_a_file_povm_once_without_verify_tradeoff(capsys, tmp_pat
     assert len(out.strip().split("\n")) == 301
     assert len(parses) == 1
     assert reports == []
+
+
+def test_sweep_validates_each_chunk_once(capsys, monkeypatch):
+    from sqkd import cli
+
+    chunks, validations = [], []
+    check, validate = protocol.check_attacks, protocol.AttackModel.validate
+    counted = lambda d, omega, v, u: chunks.append(len(omega)) or check(d, omega, v, u)
+    monkeypatch.setattr(protocol, "check_attacks", counted)
+    monkeypatch.setattr(cli, "check_attacks", counted)
+    monkeypatch.setattr(protocol.AttackModel, "validate", lambda self: validations.append(1) or validate(self))
+    code, out, _ = run_cli(capsys, "sweep", "--family", "partial-return-cz", "--param", "theta=0:1.5:600")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 601
+    assert chunks == [256, 256, 88]
+    assert validations == []
+
+
+@pytest.mark.parametrize("grid, theta", [("0:3:7", "2.0"), ("1.5:1.6:600", "1.5709515859766279"), ("nan:1:3", "nan")])
+def test_sweep_names_the_first_theta_outside_the_range(capsys, grid, theta):
+    # 1.5:1.6:600 leaves the range at point 425, in the second chunk
+    code, out, err = run_cli(capsys, "sweep", "--family", "partial-forward-cnot", "--param", f"theta={grid}")
+    assert (code, out, err) == (2, "", f"error: theta {theta} outside [0, pi/2]\n")
 
 
 def test_sweep_exit_one_when_the_bound_fails(capsys, monkeypatch):

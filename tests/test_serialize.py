@@ -90,6 +90,13 @@ def test_attack_document_missing_field():
         attack_from_dict({"ancilla_dim": 2})
 
 
+@pytest.mark.parametrize("dim", [2, 2.0])
+def test_attack_document_takes_an_integral_ancilla_dim(dim):
+    doc = attack_to_dict(named_attack("identity"))
+    doc["ancilla_dim"] = dim
+    assert type(attack_from_dict(doc).ancilla_dim) is int
+
+
 def test_attack_document_bad_pairs():
     doc = attack_to_dict(named_attack("identity"))
     doc["omega"] = [1.0, 0.0]  # not [re, im] pairs
