@@ -72,15 +72,20 @@ class Povm:
 
 def elements_from_factors(factors: np.ndarray) -> np.ndarray:
     """POVM elements from factor matrices A_e shaped (m, d, d), or a stack
-    of factor sets (N, m, d, d); see povm_from_factors."""
-    grams = linalg.dagger(factors) @ factors
-    eigvals, eigvecs = np.linalg.eigh(grams.sum(axis=-3))
-    lowest = float(np.min(eigvals[..., 0]))
+    of factor sets (N, m, d, d); see povm_from_factors.
+
+    The factors stacked into one (m d, d) matrix A = W Sigma Vh give the
+    polar isometry B = W Vh = A S^{-1/2}, so E_e = B_e^dag B_e.  B is
+    orthonormal to rounding however ill-conditioned S is, so the elements
+    are complete to rounding too.
+    """
+    *stack, m, d, _ = factors.shape
+    w, sigma, vh = np.linalg.svd(factors.reshape(*stack, m * d, d), full_matrices=False)
+    lowest = float(np.min(sigma[..., -1])) ** 2
     if not lowest > FACTOR_SINGULAR_TOL:
         raise DegeneracyError(f"factor normalizer is singular (min eigenvalue {lowest:.3e})")
-    s_inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))[..., None, :]) @ linalg.dagger(eigvecs)
-    s_inv_sqrt = s_inv_sqrt[..., None, :, :]
-    e = s_inv_sqrt @ grams @ s_inv_sqrt
+    b = (w @ vh).reshape(*stack, m, d, d)
+    e = linalg.dagger(b) @ b
     return (e + linalg.dagger(e)) / 2.0
 
 

@@ -2,15 +2,19 @@
 
 Each suite draws its instances from per-trial children of one root
 SeedSequence, so a (suite, trials, seed) triple is fully reproducible
-and any worst instance can be regenerated from its trial index.
+and any worst instance can be regenerated from its trial index.  A trial
+seeds one generator from its child, draws its shape from it and then
+every other number of the trial in one block of standard normals.
 
 Trials are drawn in chunks of 256.  Within a chunk the trials are
 grouped by shape (ancilla dimension d and outcome count m), and each
 group is built, validated and evaluated in one call of the stacked
 kernel that the scalar functions of `protocol` and `tradeoff` run on
-stacks of one.
+stacks of one.  The complex arrays are sliced out of a group's stacked
+normal blocks, not built per trial.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,32 +57,41 @@ def _random_joint(rng) -> np.ndarray:
     return table / table.sum()
 
 
-def _spawned(child: np.random.SeedSequence, n: int) -> list:
-    """The children a first child.spawn(n) returns, derived without advancing child: redraws repeat."""
-    return [np.random.SeedSequence(child.entropy, spawn_key=(*child.spawn_key, k), pool_size=child.pool_size)
-            for k in range(n)]
+def _unpack(g: np.ndarray, *shapes) -> list:
+    """Complex arrays sliced in order from stacked normal blocks g (N, L).
+    Shape (count, *dims) gives an (N, count, *dims) array; each of its
+    count arrays takes its real and then its imaginary part, as
+    `linalg.ginibre` draws them."""
+    arrays, start = [], 0
+    for count, *dims in shapes:
+        size = 2 * count * math.prod(dims)
+        block = g[:, start:start + size].reshape(len(g), count, 2, *dims)
+        arrays.append(block[:, :, 0] + 1j * block[:, :, 1])
+        start += size
+    return arrays
 
 
 def _draw_theorem(child) -> tuple:
     """The seeded draws of a theorem-style trial, keyed by (d, m): d in
-    {2,3,4}, m in [2, d^2], Ginibre matrices for V and U and m factors."""
-    attack_seed, povm_seed, pick_seed = _spawned(child, 3)
-    rng = np.random.default_rng(pick_seed)
-    d = int(rng.choice([2, 3, 4]))
+    {2,3,4}, m in [2, d^2], then one block of 16 d^2 + 2 m d^2 normals for
+    the Ginibre matrices of V and U and the m factors."""
+    rng = np.random.default_rng(child)
+    d = int(rng.integers(2, 5))
     m = int(rng.integers(2, d * d + 1))
-    ginibre_vu = linalg.ginibre(np.random.default_rng(attack_seed), 2, 2 * d)
-    return (d, m), (ginibre_vu, linalg.ginibre(np.random.default_rng(povm_seed), m, d))
+    return (d, m), rng.standard_normal(16 * d * d + 2 * m * d * d)
 
 
-def _theorem_stack(d: int, draws: list) -> tuple:
+def _theorem_stack(key, draws: list) -> tuple:
     """Validated omega, V, U and POVM elements of a group of theorem draws:
     Haar V and U from the Ginibre pairs (omega = |0>), POVMs from the factors."""
-    vu = linalg.haar_from_ginibre(np.stack([g for g, _ in draws]))
+    d, m = key
+    ginibre_vu, factors = _unpack(np.stack(draws), (2, 2 * d, 2 * d), (m, d, d))
+    vu = linalg.haar_from_ginibre(ginibre_vu)
     omega = np.zeros((len(draws), d), dtype=complex)
     omega[:, 0] = 1.0
     v, u = vu[:, 0], vu[:, 1]
     check_attacks(d, omega, v, u)
-    elements = elements_from_factors(np.stack([f for _, f in draws]))
+    elements = elements_from_factors(factors)
     check_elements(elements)
     return omega, v, u, elements
 
@@ -86,13 +99,13 @@ def _theorem_stack(d: int, draws: list) -> tuple:
 def sample_theorem_instance(child: np.random.SeedSequence) -> tuple[AttackModel, Povm]:
     """Random attack (d in {2,3,4}) paired with a random POVM (m <= d^2):
     the instance of the theorem and proof-chain suites drawn from `child`."""
-    (d, _), draw = _draw_theorem(child)
-    omega, v, u, elements = _theorem_stack(d, [draw])
-    return AttackModel(d, omega[0], v[0], u[0]), Povm(elements[0])
+    key, draw = _draw_theorem(child)
+    omega, v, u, elements = _theorem_stack(key, [draw])
+    return AttackModel(key[0], omega[0], v[0], u[0]), Povm(elements[0])
 
 
 def _theorem_batch(key, draws) -> tuple:
-    omega, v, u, elements = _theorem_stack(key[0], draws)
+    omega, v, u, elements = _theorem_stack(key, draws)
     ev = _evaluate(omega, v, u)
     return (ev, elements, *_assess(ev, elements))
 
@@ -127,21 +140,21 @@ def _lemma1_figures(key, tables) -> dict:
 
 
 def _draw_lemma2(child) -> tuple:
-    vec_seed, povm_seed = _spawned(child, 2)
-    rng = np.random.default_rng(vec_seed)
+    """The seeded draws of a lemma2 trial, keyed by (d, m): d in [1, 4],
+    m in [1, 6], then one block of 8 d + 8 + 2 m d^2 normals for phi0 and
+    phi1, x and the m factors."""
+    rng = np.random.default_rng(child)
     d = int(rng.integers(1, 5))
     m = int(rng.integers(1, 7))
-    phi0 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
-    phi1 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
-    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    return (d, m), (phi0, phi1, x, linalg.ginibre(np.random.default_rng(povm_seed), m, d))
+    return (d, m), rng.standard_normal(8 * d + 8 + 2 * m * d * d)
 
 
 def _lemma2_figures(key, draws) -> dict:
-    phi0, phi1, x, factors = (np.stack(arrays) for arrays in zip(*draws))
+    d, m = key
+    phi, x, factors = _unpack(np.stack(draws), (2, 2 * d), (1, 2, 2), (m, d, d))
     elements = elements_from_factors(factors)
     check_elements(elements)
-    return {"slack": _overlap_slack(phi0, phi1, x, elements)}
+    return {"slack": _overlap_slack(phi[:, 0], phi[:, 1], x[:, 0], elements)}
 
 
 # suite name -> (per-trial draw returning (shape key, draws), evaluation of a
@@ -169,9 +182,25 @@ def _suite_figures(suite: str, trials: int, seed: int) -> dict:
             groups.setdefault(key, []).append(i)
         for key, members in groups.items():
             rows = start + np.array(members)
-            for name, values in evaluate(key, [draws[i][1] for i in members]).items():
+            group = [draws[i][1] for i in members]
+            try:
+                results = evaluate(key, group)
+            except ValueError as exc:
+                raise _first_failure(suite, evaluate, key, group, rows) or exc
+            for name, values in results.items():
                 figures.setdefault(name, np.empty(trials, dtype=values.dtype))[rows] = values
     return figures
+
+
+def _first_failure(suite: str, evaluate, key, group: list, rows) -> ValueError | None:
+    """The error of the first trial of a failed group that fails on its own,
+    named by its index so that it can be regenerated."""
+    for row, draw in zip(rows, group):
+        try:
+            evaluate(key, [draw])
+        except ValueError as exc:
+            return ValueError(f"{suite} trial {row}: {exc}")
+    return None
 
 
 def run_suite(suite: str, trials: int, seed: int) -> SuiteResult:

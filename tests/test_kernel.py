@@ -98,6 +98,12 @@ def test_singular_factor_set_inside_a_stack_raises():
         elements_from_factors(factors)
 
 
+def test_one_element_factor_povms_are_complete_however_ill_conditioned():
+    # a one-element POVM is exactly the identity; its factor's condition must not show
+    assert np.max(np.abs(random_povm(4, 1, 403385).elements[0] - np.eye(4))) <= 1e-12
+    check_elements(elements_from_factors(linalg.ginibre(np.random.default_rng(7), 200_000, 4)[:, None]))
+
+
 def test_povm_messages_name_the_offending_element():
     with pytest.raises(ValueError, match="^POVM element 2 is not positive"):
         Povm((np.diag([1.0, 0.5]), np.diag([0.0, 0.7]), np.diag([0.0, -0.2])))

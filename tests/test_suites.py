@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from sqkd.attacks import random_attack
+from sqkd import suites
 from sqkd.cli import main
 from sqkd.info import mutual_information
-from sqkd.povm import random_povm
+from sqkd.povm import povm_from_factors
 from sqkd.protocol import ctrl_error, eve_information, sift_branch
 from sqkd.suites import (
     _ONE_SIDED,
@@ -14,6 +14,7 @@ from sqkd.suites import (
     SUITES,
     _draw_lemma2,
     _draw_theorem,
+    _lemma2_figures,
     _random_joint,
     _suite_figures,
     _theorem_stack,
@@ -74,13 +75,12 @@ def reference_figures(suite: str, child) -> dict:
         table = _random_joint(np.random.default_rng(child))
         return {"slack": fidelity_information_bound(table) - mutual_information(table)}
     if suite == "lemma2":
-        vec_seed, povm_seed = child.spawn(2)
-        rng = np.random.default_rng(vec_seed)
+        rng = np.random.default_rng(child)
         d, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
         phi0 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
         phi1 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        return {"slack": povm_overlap_slack(phi0, phi1, x, random_povm(d, m, povm_seed))}
+        return {"slack": povm_overlap_slack(phi0, phi1, x, povm_from_factors(per_matrix_factors(rng, m, d)))}
     attack, eve_povm = sample_theorem_instance(child)
     rhs = tradeoff_bound(ctrl_error(attack), sift_branch(attack).p_sift)
     if suite == "theorem":
@@ -122,6 +122,10 @@ def test_batched_suite_matches_public_functions(suite, tmp_path, capsys):
         assert doc["worst_step"] == reference[worst]["step"]
 
 
+def per_matrix_factors(rng, m, d):
+    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(m)]
+
+
 def parent_haar_unitary(dim, rng):
     """Haar unitary drawn as the per-instance sampler always drew it."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
@@ -131,32 +135,50 @@ def parent_haar_unitary(dim, rng):
 
 
 def test_batched_sampler_draws_the_instances_of_sample_theorem_instance():
-    # spawning is stateful, so every route gets children of its own
-    def children():
-        return np.random.SeedSequence(1).spawn(500)
-
-    draws = [_draw_theorem(child) for child in children()]
-    instances = [sample_theorem_instance(child) for child in children()]
-    seeds = [child.spawn(3)[:2] for child in children()]
+    children = np.random.SeedSequence(1).spawn(500)
+    draws = [_draw_theorem(child) for child in children]
     groups = {}
     for i, (key, _) in enumerate(draws):
         groups.setdefault(key, []).append(i)
     assert len(groups) > 10
-    for (d, m), members in groups.items():
-        omega, v, u, elements = _theorem_stack(d, [draws[i][1] for i in members])
+    for key, members in groups.items():
+        omega, v, u, elements = _theorem_stack(key, [draws[i][1] for i in members])
         for k, i in enumerate(members):
-            attack, eve_povm = instances[i]
+            attack, eve_povm = sample_theorem_instance(children[i])
             for got, want in ((omega, attack.omega), (v, attack.v), (u, attack.u), (elements, eve_povm.elements)):
                 assert np.array_equal(got[k], want)
-            attack_seed, povm_seed = seeds[i]
-            assert np.array_equal(u[k], random_attack(d, attack_seed).u)
-            assert np.array_equal(elements[k], random_povm(d, m, povm_seed).elements)
-            rng = np.random.default_rng(attack_seed)
+            # the trial's numbers drawn one matrix at a time from its own generator
+            rng = np.random.default_rng(children[i])
+            d = int(rng.integers(2, 5))
+            m = int(rng.integers(2, d * d + 1))
+            assert (d, m) == key
             assert np.array_equal(v[k], parent_haar_unitary(2 * d, rng))
             assert np.array_equal(u[k], parent_haar_unitary(2 * d, rng))
-            rng = np.random.default_rng(povm_seed)
-            factors = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(m)]
-            assert np.array_equal(draws[i][1][1], np.array(factors))
+            assert np.array_equal(elements[k], povm_from_factors(per_matrix_factors(rng, m, d)).elements)
+            assert omega[k].tolist() == [1.0] + [0.0] * (d - 1)
+
+
+def test_lemma2_groups_slice_the_arrays_each_trial_draws(monkeypatch):
+    children = np.random.SeedSequence(3).spawn(300)
+    draws = [_draw_lemma2(child) for child in children]
+    groups = {}
+    for i, (key, _) in enumerate(draws):
+        groups.setdefault(key, []).append(i)
+    assert len(groups) == 24
+    for key, members in groups.items():
+        seen = []
+        monkeypatch.setattr(suites, "_overlap_slack", lambda *arrays: seen.append(arrays) or np.zeros(len(members)))
+        _lemma2_figures(key, [draws[i][1] for i in members])
+        phi0, phi1, x, elements = seen[0]
+        for k, i in enumerate(members):
+            # the trial's numbers drawn one array at a time from its own generator
+            rng = np.random.default_rng(children[i])
+            d, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            assert (d, m) == key
+            for got in (phi0[k], phi1[k]):
+                assert np.array_equal(got, rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d))
+            assert np.array_equal(x[k], rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            assert np.array_equal(elements[k], povm_from_factors(per_matrix_factors(rng, m, d)).elements)
 
 
 def test_a_trial_draws_the_same_instance_every_time():
@@ -166,21 +188,42 @@ def test_a_trial_draws_the_same_instance_every_time():
     reused = child()
     key, draw = _draw_theorem(reused)
     instances = [sample_theorem_instance(reused), sample_theorem_instance(reused), sample_theorem_instance(child())]
-    assert np.array_equal(_draw_theorem(reused)[1][1], draw[1])
+    again = _draw_theorem(reused)
+    assert again[0] == key and np.array_equal(again[1], draw)
     for attack, eve_povm in instances:
         assert (attack.ancilla_dim, eve_povm.outcome_count) == key
         for field in ("omega", "v", "u"):
             assert np.array_equal(getattr(attack, field), getattr(instances[-1][0], field))
         assert np.array_equal(eve_povm.elements, instances[-1][1].elements)
     lemma2 = [_draw_lemma2(reused), _draw_lemma2(reused), _draw_lemma2(child())]
-    for key, arrays in lemma2:
+    for key, g in lemma2:
         assert key == lemma2[-1][0]
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, lemma2[-1][1]))
+        assert np.array_equal(g, lemma2[-1][1])
 
 
 def test_chunks_do_not_change_results():
     # 600 trials span three chunks; the first 256 are one whole chunk on their own
-    long_run = _suite_figures("proof-chain", 600, 2)
-    short_run = _suite_figures("proof-chain", 256, 2)
-    for name, values in short_run.items():
-        assert np.array_equal(long_run[name][:256], values)
+    for suite in ("theorem", "proof-chain", "lemma2"):
+        long_run = _suite_figures(suite, 600, 2)
+        short_run = _suite_figures(suite, 256, 2)
+        for name, values in short_run.items():
+            assert np.array_equal(long_run[name][:256], values), (suite, name)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_a_failed_group_names_its_first_failing_trial(suite, monkeypatch, capsys):
+    draw, *rest = SUITES[suite]
+    children = np.random.SeedSequence(3).spawn(400)
+    # trial 300 and a later trial of its group draw NaN
+    later = next(k for k in range(301, 400) if draw(children[k])[0] == draw(children[300])[0])
+
+    def poisoned(child):
+        key, g = draw(child)
+        return key, (np.full_like(g, np.nan) if child.spawn_key[-1] in (300, later) else g)
+
+    monkeypatch.setitem(SUITES, suite, (poisoned, *rest))
+    with pytest.raises(ValueError, match=f"^{suite} trial 300: "):
+        run_suite(suite, 400, 3)
+    assert main(["verify", "--suite", suite, "--trials", "400", "--seed", "3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {suite} trial 300: ")
