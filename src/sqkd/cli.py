@@ -130,7 +130,7 @@ def cmd_sweep(args) -> int:
         check_attacks(stack[0].shape[-1], *stack)
         ev = _evaluate(*stack)
         if args.povm == "optimize":
-            povms = [_resolve_povm(args.povm, _evaluate(*(x[None] for x in point)), args)[0] for point in zip(*stack)]
+            povms = [_resolve_povm(args.povm, ev.instance(n), args)[0] for n in range(len(thetas))]
         else:
             # every point of a family shares the ancilla dimension, so z, x or a file resolves once
             eve_povm = _resolve_povm(args.povm, ev, args)[0] if eve_povm is None else eve_povm

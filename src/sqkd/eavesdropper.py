@@ -12,16 +12,23 @@ The objective and its gradient operator share one log-ratio:
     I(A:E) = sum_{z,e} p(z, e) log(p(z, e) / (p(z) p(e))) / ln 2,
     G_e = sum_z tau_z log(p(z, e) / (p(z) p(e))).
 
-One step moves every vector along G_e and restores completeness:
+One step moves every vector along G_e, extrapolates along the last kept
+move with momentum beta, and restores completeness:
 
-    v_e <- Lambda^{-1/2} (1 + eps G_e) v_e,
-    Lambda = sum_e (1 + eps G_e) |v_e><v_e| (1 + eps G_e).
+    w_e = v_e + eps G_e v_e + beta (v_e - v_e'),
+    v_e <- Lambda^{-1/2} w_e,    Lambda = sum_e |w_e><w_e|,
 
-A step is kept only if the information does not drop.  Otherwise eps is
-halved, as it is while Lambda is near-singular; after a kept step it
-doubles.  All starts advance together as one stack of R vector sets
-(R, d, m), each with its own eps and its own stop rule; a start leaves
-the stack when it stops.  Start 0 is the eigenbasis of tau_0 - tau_1,
+where v' are the vectors before the last kept step.  A step is kept only
+if the information does not drop and Lambda is not near-singular.  After
+j kept steps in a row beta = min(0.99, (j - 1)/(j + 2)) (Nesterov); eps
+stays as it is.  A rejected step resets the run (adaptive restart,
+O'Donoghue and Candes, Found. Comput. Math. 15, 715, 2015): if it was
+extrapolated, beta drops to 0 and the same eps is tried as a plain step;
+if it was plain, eps halves.  eps starts at 1 and never grows, and every
+kept step is a POVM that does not lower the information.  All starts
+advance together as one stack of R vector sets (R, d, m), each with its
+own eps, beta, run and stop rule; a start leaves the stack when it
+stops.  Start 0 is the eigenbasis of tau_0 - tau_1,
 which refines the Helstrom measurement, so the result never falls below
 the Helstrom information.  Start 1 is the computational basis, the others
 are seeded random POVMs.  Every iterate is a valid POVM, so the reported
@@ -50,7 +57,10 @@ class OptimizerConfig:
 
     restarts counts the starts (the eigenbasis start, the computational
     basis, then random POVMs seeded from `seed`), and max_iterations
-    bounds the steps tried from each start, kept or not.  The POVM has
+    bounds the steps tried from each start, kept or not.  Each start runs
+    the momentum ascent of the module docstring: a kept step leaves eps
+    as it is and raises the momentum, a rejected extrapolation retries as
+    a plain step, and a rejected plain step halves eps.  The POVM has
     m = max(2, d^2) rank-one outcomes, enough for the accessible
     information of an ensemble in dimension d.
     """
@@ -108,14 +118,19 @@ def _completed(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
-    """Monotone ascent from every start of the stack v (R, d, m) at once.
+    """Monotone ascent with adaptive-restart momentum from every start of the
+    stack v (R, d, m) at once.
 
-    Each start keeps its own eps and stop rule and leaves the live stack
-    when it stops.  Returns the last kept vectors, their information, the
-    stop reasons and the steps each start tried."""
+    Each start keeps its own eps, momentum beta, run of kept steps and stop
+    rule, and leaves the live stack when it stops.  Returns the last kept
+    vectors, their information, the stop reasons and the steps each start
+    tried."""
     v = np.array(v, dtype=complex)
+    v_prev = v.copy()
     info, grad = _objective(tau, v)
     eps = np.ones(len(v))
+    beta = np.zeros(len(v))
+    run = np.zeros(len(v), dtype=int)  # consecutive kept steps
     steps = np.zeros(len(v), dtype=int)
     stop = np.zeros(len(v), dtype=int)  # index into _STOP_REASONS; 0 while live
     live = np.arange(len(v))
@@ -123,16 +138,24 @@ def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.nda
         if not live.size:
             break
         steps[live] += 1
-        trial, ok = _completed(v[live] + eps[live, None, None] * grad[live])
+        x = v[live]
+        w = x + eps[live, None, None] * grad[live] + beta[live, None, None] * (x - v_prev[live])
+        trial, ok = _completed(w)
         trial_info, trial_grad = _objective(tau, trial)
         up = trial_info >= info[live[ok]]
-        kept = live[ok][up]
+        is_kept = ok.copy()
+        is_kept[ok] = up
+        kept, rejected = live[is_kept], live[~is_kept]
         gain = trial_info[up] - info[kept]
+        v_prev[kept] = v[kept]
         v[kept], info[kept], grad[kept] = trial[up], trial_info[up], trial_grad[up]
-        eps[live] /= 2.0
-        eps[kept] *= 4.0  # so a kept step doubles eps and any other halves it
+        run[kept] += 1
+        beta[kept] = np.minimum(0.99, (run[kept] - 1) / (run[kept] + 2))
+        plain = rejected[beta[rejected] == 0.0]  # a rejected extrapolation retries as a plain step
+        eps[plain] /= 2.0
+        beta[rejected], run[rejected] = 0.0, 0
         stop[kept[gain < FLAT_GAIN]] = 1
-        stop[live[eps[live] < MIN_STEP]] = 2  # a kept step's eps is still >= 2 MIN_STEP
+        stop[plain[eps[plain] < MIN_STEP]] = 2
         live = live[stop[live] == 0]
     return v, info, [_STOP_REASONS[k] for k in stop], steps
 
@@ -168,7 +191,8 @@ def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = No
 
     Runs the ascent from `cfg.restarts` starts (see the module docstring)
     and keeps the best, ties broken by lower start index.  The starts
-    advance together as one stack, each with its own eps and stop rule.
+    advance together as one stack, each with its own eps, momentum and
+    stop rule.
     Each start's stop reason is reported in `stop_reasons`, never raised.
     """
     return _accessible_information(_evaluate_attack(attack), cfg)

@@ -232,6 +232,26 @@ def test_sweep_validates_each_chunk_once(capsys, monkeypatch):
     assert validations == []
 
 
+def test_sweep_optimize_solves_on_the_chunk_evaluation(capsys, monkeypatch):
+    from sqkd import cli
+
+    stacks = []
+    evaluate = protocol._evaluate
+    counted = lambda *a: stacks.append(len(a[0])) or evaluate(*a)
+    monkeypatch.setattr(protocol, "_evaluate", counted)
+    monkeypatch.setattr(cli, "_evaluate", counted)
+    argv = ["sweep", "--family", "partial-return-cz", "--povm", "optimize", "--restarts", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--param", "theta=0:1.5707963:9")
+    assert code == 0
+    assert stacks == [9]
+    # a point swept alone is evaluated on its own, and its row must not change
+    rows = []
+    for theta in map(float, np.linspace(0.0, 1.5707963, 9)):
+        _, alone, _ = run_cli(capsys, *argv, "--param", f"theta={theta!r}:{theta!r}:1")
+        rows.append(alone.split("\n")[1])
+    assert out == "\n".join([SWEEP_HEADER, *rows]) + "\n"
+
+
 @pytest.mark.parametrize("grid, theta", [("0:3:7", "2.0"), ("1.5:1.6:600", "1.5709515859766279"), ("nan:1:3", "nan")])
 def test_sweep_names_the_first_theta_outside_the_range(capsys, grid, theta):
     # 1.5:1.6:600 leaves the range at point 425, in the second chunk

@@ -12,6 +12,21 @@ HOLEVO_ZERO_PLUS = 0.6008760366928561  # {|0>, |+>} equiprobable, frozen analyti
 # info the earlier Nelder-Mead search reached on random_attack(d, s), 8 restarts, seed 0
 NELDER_MEAD_INFO = {(3, 1): 0.188, (3, 5): 0.180, (4, 1): 0.184, (4, 5): 0.049}
 STOP_REASONS = {"flat", "step", "iterations"}
+# best info of the earlier double/halve eps rule at 8 restarts, seed 0, on the
+# instances the benchmark solves; on (3, 1), (4, 1) and (4, 5) some of its
+# starts stopped on iterations
+DOUBLE_HALVE_INFO = {
+    "identity": 4.440892098500626e-16,
+    "forward-cnot": 1.0,
+    "partial-return-cz(0.7)": 0.3245581185433657,
+    "partial-forward-cnot(0.4)": 0.11233746758197105,
+    (2, 1): 0.1494953597802562,
+    (2, 5): 0.24307536018986386,
+    (3, 1): 0.451900419571,
+    (3, 5): 0.2951450356343921,
+    (4, 1): 0.674700616030,
+    (4, 5): 0.588042000934,
+}
 
 
 def crafted_zero_plus_attack():
@@ -163,14 +178,29 @@ def test_accessible_information_between_helstrom_and_holevo(case):
 
 
 def test_accessible_information_never_drops_along_a_start():
-    # the run capped at k steps is the first k steps of every longer run
-    attack = random_attack(3, 5)
-    trajectories = np.array([
-        accessible_information(attack, OptimizerConfig(restarts=3, seed=4, max_iterations=k)).restart_values
-        for k in range(40)
-    ])
-    assert np.all(np.diff(trajectories, axis=0) >= 0.0)
-    assert np.all(trajectories[-1] > trajectories[0])
+    # the run capped at k steps is the first k steps of every longer run; on
+    # random_attack(4, 1) the caps span rejected extrapolations (momentum restarts)
+    for case, caps in (((3, 5), range(40)), ((4, 1), range(0, 300, 10))):
+        attack = random_attack(*case)
+        trajectories = np.array([
+            accessible_information(attack, OptimizerConfig(restarts=3, seed=4, max_iterations=k)).restart_values
+            for k in caps
+        ])
+        assert np.all(np.diff(trajectories, axis=0) >= 0.0)
+        assert np.all(trajectories[-1] > trajectories[0])
+
+
+@pytest.mark.parametrize("case", list(DOUBLE_HALVE_INFO), ids=str)
+def test_every_start_converges_on_the_search_instances(case):
+    attack = named_attack(case) if isinstance(case, str) else random_attack(*case)
+    result = accessible_information(attack, OptimizerConfig(restarts=8, seed=0))
+    assert result.info >= DOUBLE_HALVE_INFO[case] - 1e-12
+    if case == "identity":
+        # no start gets above rounding, so a start may run its eps down instead
+        assert "iterations" not in result.stop_reasons
+        assert max(result.restart_values) <= 1e-12
+    else:
+        assert result.stop_reasons == ["flat"] * 8
 
 
 def test_accessible_information_stop_reasons():
@@ -249,18 +279,24 @@ def per_start_completed(w):
 def per_start_ascend(tau, v, max_iterations):
     """The last kept vectors, their information, the stop reason and the steps tried."""
     info, grad = per_start_objective(tau, v)
-    eps = 1.0
+    v_prev, eps, beta, run = v, 1.0, 0.0, 0
     for step in range(1, max_iterations + 1):
-        trial = per_start_completed(v + eps * grad)
+        trial = per_start_completed(v + eps * grad + beta * (v - v_prev))
         if trial is not None:
             trial_info, trial_grad = per_start_objective(tau, trial)
             if trial_info >= info:
                 gain = trial_info - info
-                v, info, grad = trial, trial_info, trial_grad
+                v_prev, v, info, grad = v, trial, trial_info, trial_grad
                 if gain < 1e-12:
                     return v, info, "flat", step
-                eps *= 2.0
+                run += 1
+                beta = min(0.99, (run - 1) / (run + 2))
                 continue
+        run = 0
+        if beta > 0.0:
+            # a rejected extrapolation is retried as a plain step at the same eps
+            beta = 0.0
+            continue
         eps /= 2.0
         if eps < 1e-12:
             return v, info, "step", step
@@ -305,7 +341,7 @@ def test_stacked_ascent_equals_the_per_start_loop_on_edge_cases(attack):
 
 def test_stacked_ascent_rejects_a_near_singular_step_while_others_go_on(monkeypatch):
     # a loose tolerance makes some early large steps near-singular
-    monkeypatch.setattr(eavesdropper, "SINGULAR_TOL", 0.1)
+    monkeypatch.setattr(eavesdropper, "SINGULAR_TOL", 0.8)
     masks = []
     completed = eavesdropper._completed
 
