@@ -16,7 +16,7 @@ import scipy
 
 from . import __version__
 from .attacks import FAMILIES, NAMES, family_stack, named_attack, parameterized_attack
-from .eavesdropper import OptimizerConfig, _accessible_information, accessible_information, holevo_bound
+from .eavesdropper import OptimizerConfig, _accessible_information, holevo_bound
 from .povm import basis_povm
 from .protocol import _CHUNK, _evaluate, _evaluate_attack, check_attacks
 from .serialize import (
@@ -28,7 +28,7 @@ from .serialize import (
     write_document,
 )
 from .suites import SUITE_NAMES, run_suite
-from .tradeoff import SLACK_TOL, _assess, _report, tradeoff_bound, verify_tradeoff
+from .tradeoff import SLACK_TOL, _assess, _report, tradeoff_bound
 
 SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
 RESTARTS_HELP = ("POVM optimizer starts: the eigenbasis of p_a(0) rho_0 - p_a(1) rho_1, "
@@ -79,22 +79,27 @@ def _resolve_attack(args) -> tuple:
 
 
 def _resolve_povm(source: str, ev, args):
-    """POVM for an evaluated attack (a stack of one): a named basis, a file, or the optimizer's (with its result)."""
+    """One POVM per instance of an evaluation: a named basis, a file, or the optimizer's (with its results)."""
     if source in ("z", "x"):
-        return basis_povm(ev.rho_eve.shape[-1], source), source, None
+        return [basis_povm(ev.rho_eve.shape[-1], source)] * len(ev.p_a), source, None
     if source == "optimize":
         found = _accessible_information(ev, OptimizerConfig(restarts=args.restarts, seed=args.seed))
-        return found.povm, "optimize", found
+        return [f.povm for f in found], "optimize", found
     if Path(source).exists():
-        return parse_povm_file(source), {"file": source}, None
+        return [parse_povm_file(source)] * len(ev.p_a), {"file": source}, None
     raise ValueError(f"--povm {source!r} is not 'z', 'x', 'optimize', or an existing file")
+
+
+def _info_interval(found, report) -> list:
+    """The optimizer's information and the Holevo ceiling above it."""
+    return [found.info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)]
 
 
 def cmd_run(args) -> int:
     attack, attack_source = _resolve_attack(args)
     ev = _evaluate_attack(attack)
-    eve_povm, povm_source, found = _resolve_povm(args.povm, ev, args)
-    report = _report(ev, eve_povm)
+    povms, povm_source, found = _resolve_povm(args.povm, ev, args)
+    report = _report(ev, povms[0])
     doc = {
         "command": "run",
         "versions": _versions(),
@@ -102,14 +107,14 @@ def cmd_run(args) -> int:
         "attack_source": attack_source,
         "povm_source": povm_source,
         "ancilla_dim": attack.ancilla_dim,
-        "povm": povm_to_dict(eve_povm),
+        "povm": povm_to_dict(povms[0]),
         "report": report_to_dict(report),
     }
     if found is not None:
         doc["optimizer"] = {
-            "stop_reasons": found.stop_reasons,
-            "restart_values": [float(v) for v in found.restart_values],
-            "info_interval": [found.info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)],
+            "stop_reasons": found[0].stop_reasons,
+            "restart_values": [float(v) for v in found[0].restart_values],
+            "info_interval": _info_interval(found[0], report),
         }
     _emit(write_document(doc), args.out)
     return 0 if report.holds else 1
@@ -123,19 +128,13 @@ def cmd_sweep(args) -> int:
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     grid = np.linspace(start, stop, count)
-    rows, holds, eve_povm = [], True, None
+    rows, holds = [], True
     for first in range(0, count, _CHUNK):
         thetas = grid[first:first + _CHUNK]
         stack = family_stack(args.family, thetas)
         check_attacks(stack[0].shape[-1], *stack)
         ev = _evaluate(*stack)
-        if args.povm == "optimize":
-            povms = [_resolve_povm(args.povm, ev.instance(n), args)[0] for n in range(len(thetas))]
-        else:
-            # every point of a family shares the ancilla dimension, so z, x or a file resolves once
-            eve_povm = _resolve_povm(args.povm, ev, args)[0] if eve_povm is None else eve_povm
-            povms = [eve_povm] * len(thetas)
-        _, info, rhs = _assess(ev, np.stack([p.elements for p in povms]))
+        _, info, rhs = _assess(ev, np.stack([p.elements for p in _resolve_povm(args.povm, ev, args)[0]]))
         gap = rhs - info
         ok = gap >= SLACK_TOL
         holds = holds and bool(ok.all())
@@ -162,7 +161,7 @@ def cmd_optimize(args) -> int:
         ev = _evaluate_attack(parameterized_attack(x, d))
         # coarse inner budget during the scan; only the winner gets the full report below
         cfg = OptimizerConfig(restarts=args.restarts, max_iterations=200, seed=inner_seed)
-        info = _accessible_information(ev, cfg).info
+        info = _accessible_information(ev, cfg)[0].info
         p_ctrl, p_sift = float(ev.p_ctrl[0]), float(ev.p_sift[0])
         if args.objective == "max-gap":
             return info - tradeoff_bound(p_ctrl, p_sift)
@@ -185,9 +184,9 @@ def cmd_optimize(args) -> int:
             best_x, best_score = res.x, -float(res.fun)
 
     best_attack = parameterized_attack(best_x, d)
-    final_cfg = OptimizerConfig(restarts=max(8, args.restarts), seed=args.seed)
-    final = accessible_information(best_attack, final_cfg)
-    report = verify_tradeoff(best_attack, final.povm)
+    ev = _evaluate_attack(best_attack)
+    final = _accessible_information(ev, OptimizerConfig(restarts=max(8, args.restarts), seed=args.seed))[0]
+    report = _report(ev, final.povm)
     doc = {
         "command": "optimize",
         "versions": _versions(),
@@ -200,7 +199,7 @@ def cmd_optimize(args) -> int:
         "best_objective": best_score,
         "restart_objectives": restart_stats,
         "info_rhs_ratio": report.info / report.rhs if report.rhs > 1e-15 else 0.0,
-        "info_interval": [final.info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)],
+        "info_interval": _info_interval(final, report),
         "attack": attack_to_dict(best_attack),
         "povm": povm_to_dict(final.povm),
         "report": report_to_dict(report),

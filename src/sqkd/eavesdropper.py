@@ -25,15 +25,16 @@ stays as it is.  A rejected step resets the run (adaptive restart,
 O'Donoghue and Candes, Found. Comput. Math. 15, 715, 2015): if it was
 extrapolated, beta drops to 0 and the same eps is tried as a plain step;
 if it was plain, eps halves.  eps starts at 1 and never grows, and every
-kept step is a POVM that does not lower the information.  All starts
-advance together as one stack of R vector sets (R, d, m), each with its
-own eps, beta, run and stop rule; a start leaves the stack when it
-stops.  Start 0 is the eigenbasis of tau_0 - tau_1,
-which refines the Helstrom measurement, so the result never falls below
-the Helstrom information.  Start 1 is the computational basis, the others
-are seeded random POVMs.  Every iterate is a valid POVM, so the reported
-information is achieved: a lower bound on the accessible information,
-with the Holevo quantity as the ceiling above it.
+kept step is a POVM that does not lower the information.  The R starts
+of every ensemble of an evaluated stack of N attacks advance together as
+one stack of N R vector sets (N R, d, m), each on its own ensemble and
+with its own eps, beta, run and stop rule; a start leaves the stack when
+it stops.  Start 0 is the eigenbasis of tau_0 - tau_1, which refines the
+Helstrom measurement, so the result never falls below the Helstrom
+information.  Start 1 is the computational basis, the others are seeded
+random POVMs, the same for every ensemble.  Every iterate is a valid
+POVM, so the reported information is achieved: a lower bound on the
+accessible information, with the Holevo quantity as the ceiling above it.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .info import ZERO_PROB, mutual_information, shannon_entropy, von_neumann_entropy
-from .povm import Povm
+from .povm import Povm, rank_one_elements
 from .protocol import AttackModel, _evaluate_attack, _Evaluation, _joint_table
 
 FLAT_GAIN = 1e-12  # bits: a kept step that gains less ends the start
@@ -57,10 +58,8 @@ class OptimizerConfig:
 
     restarts counts the starts (the eigenbasis start, the computational
     basis, then random POVMs seeded from `seed`), and max_iterations
-    bounds the steps tried from each start, kept or not.  Each start runs
-    the momentum ascent of the module docstring: a kept step leaves eps
-    as it is and raises the momentum, a rejected extrapolation retries as
-    a plain step, and a rejected plain step halves eps.  The POVM has
+    bounds the steps tried from each start, kept or not; each start runs
+    the momentum ascent of the module docstring.  The POVM has
     m = max(2, d^2) rank-one outcomes, enough for the accessible
     information of an ensemble in dimension d.
     """
@@ -79,7 +78,7 @@ class OptimizerConfig:
 
 @dataclass
 class AccessibleInfoResult:
-    """The best POVM found and its I(A:E), from the full dual-route evaluation.
+    """The best POVM found for one attack and its I(A:E), from the full dual-route evaluation.
 
     restart_values[k] is the information start k ended at and
     stop_reasons[k] why it ended: "flat" (a kept step gained less than
@@ -95,8 +94,8 @@ class AccessibleInfoResult:
 
 
 def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I(A:E) in bits of each POVM of the stack v (R, d, m; vectors as columns),
-    and G_e v_e (columns) for each."""
+    """I(A:E) in bits of each POVM of the stack v (R, d, m; vectors as columns)
+    on its own ensemble tau (R, 2, d, d), and G_e v_e (columns) for each."""
     tv = tau @ v[:, None]  # tau_z v_e, (R, 2, d, m)
     table = np.clip(np.einsum("rie,rzie->rze", v.conj(), tv).real, 0.0, None)
     marginals = table.sum(axis=-1, keepdims=True) * table.sum(axis=-2, keepdims=True)
@@ -119,7 +118,7 @@ def _completed(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Monotone ascent with adaptive-restart momentum from every start of the
-    stack v (R, d, m) at once.
+    stack v (R, d, m) at once, start r on the ensemble tau[r] (R, 2, d, d).
 
     Each start keeps its own eps, momentum beta, run of kept steps and stop
     rule, and leaves the live stack when it stops.  Returns the last kept
@@ -141,7 +140,7 @@ def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.nda
         x = v[live]
         w = x + eps[live, None, None] * grad[live] + beta[live, None, None] * (x - v_prev[live])
         trial, ok = _completed(w)
-        trial_info, trial_grad = _objective(tau, trial)
+        trial_info, trial_grad = _objective(tau[live[ok]], trial)
         up = trial_info >= info[live[ok]]
         is_kept = ok.copy()
         is_kept[ok] = up
@@ -161,41 +160,44 @@ def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.nda
 
 
 def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> np.ndarray:
-    """Start vectors (R, d, m; columns v_e): the eigenbasis of tau_0 - tau_1 and
-    the computational basis, each padded with zero vectors, then random POVMs."""
-    d = tau.shape[1]
-    bases = [np.linalg.eigh(tau[0] - tau[1])[1], np.eye(d, dtype=complex)]
-    starts = [np.hstack([b, np.zeros((d, m - d), dtype=complex)]) for b in bases]
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[2:]:
+    """Start vectors (N, R, d, m; columns v_e) for each ensemble tau (N, 2, d, d):
+    the eigenbasis of tau_0 - tau_1 and the computational basis, each padded
+    with zero vectors, then random POVMs drawn once and shared by all N."""
+    n, _, d, _ = tau.shape
+    starts = np.zeros((n, max(2, cfg.restarts), d, m), dtype=complex)
+    starts[:, 0, :, :d] = np.linalg.eigh(tau[:, 0] - tau[:, 1])[1]
+    starts[:, 1, :, :d] = np.eye(d)
+    for r, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[2:], 2):
         # d rows of a Haar unitary on C^m: a uniformly random rank-one POVM
-        starts.append(linalg.haar_unitary(m, child)[:d])
-    return np.stack(starts[: cfg.restarts])
+        starts[:, r] = linalg.haar_unitary(m, child)[:d]
+    return starts[:, : cfg.restarts]
 
 
-def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
-    """accessible_information of an evaluated attack (a stack of one)."""
+def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None) -> list[AccessibleInfoResult]:
+    """accessible_information of every instance of an evaluated stack, all
+    starts of all instances advancing as one stack of N R starts."""
     cfg = cfg or OptimizerConfig()
-    d = ev.rho_eve.shape[-1]
-    m = max(2, d * d)
-    tau = ev.p_a[0, :, None, None] * ev.rho_eve[0]
-
-    v, info, stop_reasons, steps = _ascend(tau, _starts(tau, m, cfg), cfg.max_iterations)
-    best_povm = Povm(tuple(linalg.projector(x) for x in v[np.argmax(info)].T))
+    n, r, d = len(ev.p_a), cfg.restarts, ev.rho_eve.shape[-1]
+    tau = ev.p_a[..., None, None] * ev.rho_eve
+    starts = _starts(tau, max(2, d * d), cfg).reshape(n * r, d, -1)
+    v, info, stop_reasons, steps = _ascend(np.repeat(tau, r, axis=0), starts, cfg.max_iterations)
+    info, steps = info.reshape(n, r), steps.reshape(n, r)
+    # argmax takes the lower start on ties
+    elements = rank_one_elements(v.reshape(n, r, d, -1)[np.arange(n), np.argmax(info, axis=1)])
     # the reported value always comes from the full dual-route evaluation
-    achieved = mutual_information(_joint_table(ev, best_povm.elements[None])[0])
-    return AccessibleInfoResult(achieved, best_povm, stop_reasons, info.tolist(), steps.tolist())
+    achieved = mutual_information(_joint_table(ev, elements))
+    return [AccessibleInfoResult(float(achieved[k]), Povm(elements[k]), stop_reasons[k * r:(k + 1) * r],
+                                 info[k].tolist(), steps[k].tolist()) for k in range(n)]
 
 
 def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = None) -> AccessibleInfoResult:
     """Best I(A:E) found over POVMs on the ancilla, with the POVM achieving it.
 
     Runs the ascent from `cfg.restarts` starts (see the module docstring)
-    and keeps the best, ties broken by lower start index.  The starts
-    advance together as one stack, each with its own eps, momentum and
-    stop rule.
-    Each start's stop reason is reported in `stop_reasons`, never raised.
+    and keeps the best, ties broken by lower start index.  Each start's
+    stop reason is reported in `stop_reasons`, never raised.
     """
-    return _accessible_information(_evaluate_attack(attack), cfg)
+    return _accessible_information(_evaluate_attack(attack), cfg)[0]
 
 
 def holevo_bound(rho0: np.ndarray, rho1: np.ndarray, p) -> float:

@@ -109,16 +109,20 @@ def basis_povm(dim: int, basis: str = "z") -> Povm:
     which for dim 2 is {|+>, |->}.
     """
     if basis == "z":
-        vecs = [linalg.basis_state(dim, k) for k in range(dim)]
+        columns = np.eye(dim, dtype=complex)
     elif basis == "x":
         omega = np.exp(2j * np.pi / dim)
-        vecs = [
-            np.array([omega ** (j * k) for j in range(dim)], dtype=complex) / np.sqrt(dim)
-            for k in range(dim)
-        ]
+        columns = np.array([[omega ** (j * k) for k in range(dim)] for j in range(dim)], dtype=complex) / np.sqrt(dim)
     else:
         raise ValueError(f"unknown basis {basis!r}; expected 'z' or 'x'")
-    return Povm(tuple(linalg.projector(v) for v in vecs))
+    return Povm(rank_one_elements(columns))
+
+
+def rank_one_elements(columns: np.ndarray) -> np.ndarray:
+    """Elements E_e = v_e v_e^dag (m, d, d) of the columns v_e of a (d, m)
+    matrix, or of each matrix of a stack (N, d, m)."""
+    v = np.swapaxes(columns, -1, -2)
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def random_povm(dim: int, outcomes: int, seed) -> Povm:

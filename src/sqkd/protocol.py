@@ -16,7 +16,7 @@ function here is the kernel on a stack of one.
 """
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +111,6 @@ class _Evaluation:
     p_b_given_a: np.ndarray
     p_sift: np.ndarray
     degenerate: np.ndarray
-
-    def instance(self, n: int) -> "_Evaluation":
-        """Instance n as a stack of one."""
-        return _Evaluation(*(getattr(self, f.name)[n:n + 1] for f in fields(self)))
 
     def sift(self, n: int) -> SiftOutcome:
         """The SIFT branch of instance n."""

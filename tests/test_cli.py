@@ -200,19 +200,19 @@ def test_sweep_rows_match_verify_tradeoff(capsys, tmp_path, family, povm, count)
     assert code == 0
 
 
-def test_sweep_resolves_a_file_povm_once_without_verify_tradeoff(capsys, tmp_path, monkeypatch):
+def test_sweep_resolves_a_file_povm_once_per_chunk_without_a_report_per_point(capsys, tmp_path, monkeypatch):
     from sqkd import cli
 
     write_document(povm_to_dict(random_povm(2, 2, 5)), tmp_path / "povm.json")
     parses, reports = [], []
-    parse = cli.parse_povm_file
+    parse, report = cli.parse_povm_file, cli._report
     monkeypatch.setattr(cli, "parse_povm_file", lambda path: parses.append(path) or parse(path))
-    monkeypatch.setattr(cli, "verify_tradeoff", lambda *a: reports.append(a) or verify_tradeoff(*a))
+    monkeypatch.setattr(cli, "_report", lambda *a: reports.append(a) or report(*a))
     code, out, _ = run_cli(capsys, "sweep", "--family", "partial-return-cz", "--param", "theta=0:1.5:300",
                            "--povm", str(tmp_path / "povm.json"))
     assert code == 0
     assert len(out.strip().split("\n")) == 301
-    assert len(parses) == 1
+    assert len(parses) == 2  # chunks of 256 and 44 points
     assert reports == []
 
 
@@ -250,6 +250,27 @@ def test_sweep_optimize_solves_on_the_chunk_evaluation(capsys, monkeypatch):
         _, alone, _ = run_cli(capsys, *argv, "--param", f"theta={theta!r}:{theta!r}:1")
         rows.append(alone.split("\n")[1])
     assert out == "\n".join([SWEEP_HEADER, *rows]) + "\n"
+
+
+def test_sweep_optimize_runs_one_ascent_per_chunk(capsys, monkeypatch):
+    from sqkd import cli, eavesdropper
+
+    stacks, starts = [], []
+    evaluate, ascend = protocol._evaluate, eavesdropper._ascend
+    counted = lambda *a: stacks.append(len(a[0])) or evaluate(*a)
+    monkeypatch.setattr(protocol, "_evaluate", counted)
+    monkeypatch.setattr(cli, "_evaluate", counted)
+    monkeypatch.setattr(eavesdropper, "_ascend", lambda tau, v, k: starts.append(len(v)) or ascend(tau, v, k))
+    argv = ["sweep", "--family", "partial-forward-cnot", "--povm", "optimize", "--restarts", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--param", "theta=0:1.5707963:300")
+    assert code == 0
+    assert stacks == [256, 44]
+    assert starts == [512, 88]
+    rows = out.split("\n")[1:-1]
+    for n in (0, 255, 256, 299):
+        theta = float(np.linspace(0.0, 1.5707963, 300)[n])
+        _, alone, _ = run_cli(capsys, *argv, "--param", f"theta={theta!r}:{theta!r}:1")
+        assert alone.split("\n")[1] == rows[n]
 
 
 @pytest.mark.parametrize("grid, theta", [("0:3:7", "2.0"), ("1.5:1.6:600", "1.5709515859766279"), ("nan:1:3", "nan")])
@@ -359,8 +380,8 @@ def test_optimize_small_budget(capsys, tmp_path, monkeypatch):
     from sqkd import cli
 
     reports = []
-    verify = cli.verify_tradeoff
-    monkeypatch.setattr(cli, "verify_tradeoff", lambda *a: reports.append(a) or verify(*a))
+    report = cli._report
+    monkeypatch.setattr(cli, "_report", lambda *a: reports.append(a) or report(*a))
     out_path = tmp_path / "opt.json"
     code, _, _ = run_cli(
         capsys, "optimize", "--trials", "1", "--restarts", "1", "--seed", "5",

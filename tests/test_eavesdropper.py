@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 from sqkd import eavesdropper, linalg
-from sqkd.attacks import named_attack, random_attack
-from sqkd.eavesdropper import OptimizerConfig, _ascend, _objective, _starts, accessible_information, holevo_bound
+from sqkd.attacks import family_stack, named_attack, random_attack
+from sqkd.eavesdropper import (
+    OptimizerConfig,
+    _accessible_information,
+    _ascend,
+    _objective,
+    _starts,
+    accessible_information,
+    holevo_bound,
+)
 from sqkd.info import mutual_information, von_neumann_entropy
 from sqkd.povm import DegeneracyError, Povm, basis_povm, povm_from_factors
-from sqkd.protocol import AttackModel, eve_information, sift_branch
+from sqkd.protocol import AttackModel, _evaluate, eve_information, sift_branch
 
 HOLEVO_ZERO_PLUS = 0.6008760366928561  # {|0>, |+>} equiprobable, frozen analytic value
 # info the earlier Nelder-Mead search reached on random_attack(d, s), 8 restarts, seed 0
@@ -251,10 +259,10 @@ def eve_ensemble(attack) -> np.ndarray:
 def test_objective_is_the_mutual_information_of_its_table(attack):
     tau = eve_ensemble(attack)
     m = max(2, attack.ancilla_dim ** 2)
-    for v0 in _starts(tau, m, OptimizerConfig(restarts=4, seed=3)):
-        for v in (v0, _ascend(tau, v0[None], 25)[0][0]):
+    for v0 in _starts(tau[None], m, OptimizerConfig(restarts=4, seed=3))[0]:
+        for v in (v0, _ascend(tau[None], v0[None], 25)[0][0]):
             table = np.einsum("ie,zij,je->ze", v.conj(), tau, v).real
-            assert abs(_objective(tau, v[None])[0][0] - mutual_information(table)) <= 1e-12
+            assert abs(_objective(tau[None], v[None])[0][0] - mutual_information(table)) <= 1e-12
 
 
 # reference: the ascent run one start at a time, with the step rules of the
@@ -307,7 +315,7 @@ def per_start_solve(attack, cfg):
     """(restart_values, stop_reasons, steps, best POVM elements) of the per-start loop."""
     tau = eve_ensemble(attack)
     m = max(2, attack.ancilla_dim ** 2)
-    runs = [per_start_ascend(tau, v0, cfg.max_iterations) for v0 in _starts(tau, m, cfg)]
+    runs = [per_start_ascend(tau, v0, cfg.max_iterations) for v0 in _starts(tau[None], m, cfg)[0]]
     best = max(range(len(runs)), key=lambda k: (runs[k][1], -k))
     elements = np.stack([linalg.projector(v) for v in runs[best][0].T])
     return [r[1] for r in runs], [r[2] for r in runs], [r[3] for r in runs], elements
@@ -378,6 +386,45 @@ def test_steps_reach_the_cap_exactly_when_a_start_stops_on_iterations(max_iterat
     for reason, steps in zip(result.stop_reasons, result.steps):
         assert (reason == "iterations") == (steps == max_iterations)
         assert 0 <= steps <= max_iterations
+
+
+def stacked_solve_matches_each_instance(attacks, stack, cfg):
+    """_accessible_information on the evaluated stack, instance k against attack k solved alone."""
+    results = _accessible_information(_evaluate(*stack), cfg)
+    assert len(results) == len(attacks)
+    for attack, result in zip(attacks, results):
+        alone = accessible_information(attack, cfg)
+        assert result.info == alone.info
+        assert result.restart_values == alone.restart_values
+        assert result.stop_reasons == alone.stop_reasons
+        assert result.steps == alone.steps
+        assert np.array_equal(result.povm.elements, alone.povm.elements)
+
+
+def attack_stack(attacks) -> tuple:
+    return tuple(np.stack([getattr(a, k) for a in attacks]) for k in ("omega", "v", "u"))
+
+
+@pytest.mark.parametrize(
+    "attacks",
+    [[random_attack(3, s) for s in range(6)], [random_attack(1, s) for s in (1, 2, 3)]],
+    ids=["d=3", "d=1"],
+)
+def test_stacked_solve_equals_per_instance_solves(attacks):
+    stacked_solve_matches_each_instance(attacks, attack_stack(attacks), OptimizerConfig(restarts=4, seed=2))
+
+
+def test_stacked_solve_equals_per_instance_solves_on_a_family_grid():
+    thetas = np.linspace(0.0, 1.5707963, 9)
+    attacks = [named_attack("partial-return-cz", float(t)) for t in thetas]
+    stacked_solve_matches_each_instance(attacks, family_stack("partial-return-cz", thetas),
+                                        OptimizerConfig(restarts=3, seed=0))
+
+
+def test_stacked_solve_equals_per_instance_solves_with_an_empty_branch():
+    attacks = [random_attack(2, 1), degenerate_sift_attack(), random_attack(2, 5)]
+    with np.errstate(all="raise"):
+        stacked_solve_matches_each_instance(attacks, attack_stack(attacks), OptimizerConfig(restarts=4, seed=1))
 
 
 def per_state_holevo(rho0, rho1, p) -> float:
