@@ -61,13 +61,18 @@ FAMILIES = {
 NAMES = (*_FIXED, *FAMILIES)
 
 
-def family_stack(name: str, thetas) -> tuple:
-    """(omega, V, U) stacks of family `name` at each theta of a 1-d array, checked against [0, pi/2]."""
+def _check_thetas(thetas) -> np.ndarray:
+    """thetas as a float array, checked against [0, pi/2]; the error names the first bad one."""
     thetas = np.asarray(thetas, dtype=float)
     bad = ~((0.0 <= thetas) & (thetas <= np.pi / 2 + 1e-12))  # NaN is bad too
     if bad.any():
         raise ValueError(f"theta {float(thetas[np.argmax(bad)])!r} outside [0, pi/2]")
-    return FAMILIES[name](thetas)
+    return thetas
+
+
+def family_stack(name: str, thetas) -> tuple:
+    """(omega, V, U) stacks of family `name` at each theta of a 1-d array, checked against [0, pi/2]."""
+    return FAMILIES[name](_check_thetas(thetas))
 
 
 def named_attack(name: str, theta: float | None = None) -> AttackModel:

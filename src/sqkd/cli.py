@@ -15,7 +15,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .attacks import FAMILIES, NAMES, family_stack, named_attack, parameterized_attack
+from .attacks import FAMILIES, NAMES, _check_thetas, named_attack, parameterized_attack
 from .eavesdropper import OptimizerConfig, _accessible_information, holevo_bound
 from .povm import basis_povm
 from .protocol import _CHUNK, _evaluate, _evaluate_attack, check_attacks
@@ -127,11 +127,11 @@ def cmd_sweep(args) -> int:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
-    grid = np.linspace(start, stop, count)
+    grid = _check_thetas(np.linspace(start, stop, count))  # the whole grid, before any point is evaluated
     rows, holds = [], True
     for first in range(0, count, _CHUNK):
         thetas = grid[first:first + _CHUNK]
-        stack = family_stack(args.family, thetas)
+        stack = FAMILIES[args.family](thetas)
         check_attacks(stack[0].shape[-1], *stack)
         ev = _evaluate(*stack)
         _, info, rhs = _assess(ev, np.stack([p.elements for p in _resolve_povm(args.povm, ev, args)[0]]))

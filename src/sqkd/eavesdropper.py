@@ -133,6 +133,7 @@ def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.nda
     steps = np.zeros(len(v), dtype=int)
     stop = np.zeros(len(v), dtype=int)  # index into _STOP_REASONS; 0 while live
     live = np.arange(len(v))
+    tau_live = tau  # tau[live], gathered again only when a start stops
     for _ in range(max_iterations):
         if not live.size:
             break
@@ -140,8 +141,9 @@ def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.nda
         x = v[live]
         w = x + eps[live, None, None] * grad[live] + beta[live, None, None] * (x - v_prev[live])
         trial, ok = _completed(w)
-        trial_info, trial_grad = _objective(tau[live[ok]], trial)
-        up = trial_info >= info[live[ok]]
+        completed = slice(None) if ok.all() else ok
+        trial_info, trial_grad = _objective(tau_live[completed], trial)
+        up = trial_info >= info[live[completed]]
         is_kept = ok.copy()
         is_kept[ok] = up
         kept, rejected = live[is_kept], live[~is_kept]
@@ -155,7 +157,9 @@ def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.nda
         beta[rejected], run[rejected] = 0.0, 0
         stop[kept[gain < FLAT_GAIN]] = 1
         stop[plain[eps[plain] < MIN_STEP]] = 2
-        live = live[stop[live] == 0]
+        still = stop[live] == 0
+        if not still.all():
+            live, tau_live = live[still], tau_live[still]
     return v, info, [_STOP_REASONS[k] for k in stop], steps
 
 

@@ -10,9 +10,10 @@ sampled.
 One numeric kernel does the work: `_evaluate` takes a stack of N attacks
 of one ancilla dimension d, shaped (N, d) and (N, 2d, 2d), and
 `_joint_table` a stack of POVM elements (N, m, d, d); every product is a
-stacked matmul or an einsum.  The suites (grouped by (d, m)) and sweeps
-evaluate in such stacks of up to _CHUNK instances, and every public
-function here is the kernel on a stack of one.
+stacked matmul or an einsum.  Sweeps evaluate their grid in stacks of
+up to _CHUNK instances, the suites each (d, m) group of a window of
+draws in slices of up to _CHUNK, and every public function here is the
+kernel on a stack of one.
 """
 
 import functools
@@ -26,7 +27,7 @@ from .povm import Povm
 
 DEGENERATE_BRANCH_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-12
-_CHUNK = 256  # instances evaluated together by the suites and sweeps; bounds the size of the stacks
+_CHUNK = 256  # most instances in one stack of a sweep or a suite group slice; bounds the size of the stacks
 
 
 @dataclass(frozen=True)

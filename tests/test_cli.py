@@ -280,6 +280,20 @@ def test_sweep_names_the_first_theta_outside_the_range(capsys, grid, theta):
     assert (code, out, err) == (2, "", f"error: theta {theta} outside [0, pi/2]\n")
 
 
+def test_sweep_checks_the_whole_grid_before_the_first_chunk(capsys, monkeypatch):
+    from sqkd import cli, eavesdropper
+
+    calls = []
+    monkeypatch.setattr(protocol, "_evaluate", lambda *a: calls.append("evaluate"))
+    monkeypatch.setattr(cli, "_evaluate", lambda *a: calls.append("evaluate"))
+    monkeypatch.setattr(eavesdropper, "_ascend", lambda *a: calls.append("ascend"))
+    # 0:3:700 leaves the range at point 366, in the second chunk
+    code, out, err = run_cli(capsys, "sweep", "--family", "partial-return-cz", "--param", "theta=0:3:700",
+                             "--povm", "optimize")
+    assert (code, out, err) == (2, "", "error: theta 1.5708154506437768 outside [0, pi/2]\n")
+    assert calls == []
+
+
 def test_sweep_exit_one_when_the_bound_fails(capsys, monkeypatch):
     from sqkd import tradeoff
 

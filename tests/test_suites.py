@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,29 +202,49 @@ def test_a_trial_draws_the_same_instance_every_time():
         assert np.array_equal(g, lemma2[-1][1])
 
 
-def test_chunks_do_not_change_results():
-    # 600 trials span three chunks; the first 256 are one whole chunk on their own
-    for suite in ("theorem", "proof-chain", "lemma2"):
-        long_run = _suite_figures(suite, 600, 2)
-        short_run = _suite_figures(suite, 256, 2)
-        for name, values in short_run.items():
-            assert np.array_equal(long_run[name][:256], values), (suite, name)
+def test_windows_do_not_change_results(monkeypatch):
+    # 1100 trials end in a partial window, and in a partial chunk of it; with
+    # chunks of 4 the larger groups of a window are evaluated in several slices
+    want = {suite: _suite_figures(suite, 1100, 2) for suite in ("theorem", "proof-chain", "lemma2")}
+    for window, chunk in ((256, 256), (64, 16), (64, 4)):
+        monkeypatch.setattr(suites, "_WINDOW", window)
+        monkeypatch.setattr(suites, "_CHUNK", chunk)
+        for suite, figures in want.items():
+            got = _suite_figures(suite, 1100, 2)
+            assert got.keys() == figures.keys()
+            for name, values in figures.items():
+                assert np.array_equal(got[name], values), (suite, window, chunk, name)
+
+
+def test_suite_memory_is_bounded_by_the_window():
+    # the draws held at once are one window's, whatever the number of trials
+    for suite in ("lemma2", "theorem"):
+        peaks = []
+        for trials in (2048, 10_000):
+            tracemalloc.start()
+            try:
+                run_suite(suite, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], (suite, peaks)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_a_failed_group_names_its_first_failing_trial(suite, monkeypatch, capsys):
     draw, *rest = SUITES[suite]
-    children = np.random.SeedSequence(3).spawn(400)
-    # trial 300 and a later trial of its group draw NaN
-    later = next(k for k in range(301, 400) if draw(children[k])[0] == draw(children[300])[0])
+    # trial 300, or trial 1050 in the second window, and a later trial of its group draw NaN
+    for trials, first in ((400, 300), (1100, 1050)):
+        children = np.random.SeedSequence(3).spawn(trials)
+        later = next(k for k in range(first + 1, trials) if draw(children[k])[0] == draw(children[first])[0])
 
-    def poisoned(child):
-        key, g = draw(child)
-        return key, (np.full_like(g, np.nan) if child.spawn_key[-1] in (300, later) else g)
+        def poisoned(child):
+            key, g = draw(child)
+            return key, (np.full_like(g, np.nan) if child.spawn_key[-1] in (first, later) else g)
 
-    monkeypatch.setitem(SUITES, suite, (poisoned, *rest))
-    with pytest.raises(ValueError, match=f"^{suite} trial 300: "):
-        run_suite(suite, 400, 3)
-    assert main(["verify", "--suite", suite, "--trials", "400", "--seed", "3"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {suite} trial 300: ")
+        monkeypatch.setitem(SUITES, suite, (poisoned, *rest))
+        with pytest.raises(ValueError, match=f"^{suite} trial {first}: "):
+            run_suite(suite, trials, 3)
+        assert main(["verify", "--suite", suite, "--trials", str(trials), "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {suite} trial {first}: ")
