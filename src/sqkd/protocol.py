@@ -10,10 +10,12 @@ sampled.
 One numeric kernel does the work: `_evaluate` takes a stack of N attacks
 of one ancilla dimension d, shaped (N, d) and (N, 2d, 2d), and
 `_joint_table` a stack of POVM elements (N, m, d, d); every product is a
-stacked matmul or an einsum.  Sweeps evaluate their grid in stacks of
-up to _CHUNK instances, the suites each (d, m) group of a window of
-draws in slices of up to _CHUNK, and every public function here is the
-kernel on a stack of one.
+stacked matmul or an einsum.  Of the kernel, only `_evaluate` sees V, U
+and psi: it hands on the qubit blocks of U psi and of the branch pair
+U Z_z psi, and the proof chain reads C_0 psi and U psi from those.
+Sweeps evaluate their grid in stacks of up to _CHUNK instances, the
+suites each (d, m) group of a window of draws in slices of up to
+_CHUNK, and every public function here is the kernel on a stack of one.
 """
 
 import functools
@@ -96,14 +98,14 @@ def check_attacks(d: int, omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> No
 @dataclass(frozen=True)
 class _Evaluation:
     """What the protocol derives from a stack of N attacks of one ancilla
-    dimension d, each field with the instance as its first axis:
-    psi = V |+> (x) |omega> and u_psi = U psi (N, 2d); branches[n, z, q]
-    the qubit-q block of U Z_z psi (N, 2, 2, d, unnormalized); p_ctrl and
-    p_sift (N,); p_a and degenerate (N, 2); rho_eve (N, 2, d, d);
-    p_b_given_a (N, 2, 2)."""
+    dimension d, each field with the instance as its first axis: u_psi[n, q]
+    and branches[n, z, q] the qubit-q blocks of U psi (N, 2, d) and of
+    U Z_z psi (N, 2, 2, d, unnormalized), psi = V |+> (x) |omega>; p_ctrl
+    and p_sift (N,); p_a and degenerate (N, 2); rho_eve (N, 2, d, d);
+    p_b_given_a (N, 2, 2).  Only _evaluate sees V, U and psi.  u_psi stays
+    although it is branches[:, 0] + branches[:, 1] in exact arithmetic:
+    that sum rounds differently from U psi in the last bits."""
 
-    u: np.ndarray
-    psi: np.ndarray
     u_psi: np.ndarray
     branches: np.ndarray
     p_ctrl: np.ndarray
@@ -133,8 +135,7 @@ def _evaluate(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> _Evaluation:
     """
     n, d = omega.shape
     psi = _prepared_states(omega, v)
-    u_psi = (u @ psi[..., None])[..., 0]
-    w = u_psi.reshape(n, 2, d)
+    w = (u @ psi[..., None])[..., 0].reshape(n, 2, d)
     # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
     p_ctrl = linalg.clamp_probability(_sq_norms(w[:, 0] - w[:, 1]) / 2.0)
 
@@ -150,7 +151,7 @@ def _evaluate(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> _Evaluation:
     p_b_given_a = linalg.clamp_probability(_sq_norms(branches) * scale[..., None])
     rho_eve = (np.swapaxes(branches, -1, -2) @ branches.conj()) * scale[..., None, None]
 
-    p_sift = p_b_given_a[:, 0, 1] * p_a[:, 0] + p_b_given_a[:, 1, 0] * p_a[:, 1]
+    p_sift = linalg.clamp_probability(p_b_given_a[:, 0, 1] * p_a[:, 0] + p_b_given_a[:, 1, 0] * p_a[:, 1])
     p_sift_op = _sift_error_operator(psi, u)
     off = np.abs(p_sift - p_sift_op) > CROSS_CHECK_TOL
     if off.any():
@@ -158,7 +159,7 @@ def _evaluate(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> _Evaluation:
         raise ArithmeticError(
             f"P_SIFT routes disagree: defining sum {float(p_sift[k])!r} vs operator form {float(p_sift_op[k])!r}"
         )
-    return _Evaluation(u, psi, u_psi, branches, p_ctrl, p_a, rho_eve, p_b_given_a, p_sift, degenerate)
+    return _Evaluation(w, branches, p_ctrl, p_a, rho_eve, p_b_given_a, p_sift, degenerate)
 
 
 def _evaluate_attack(attack: AttackModel) -> _Evaluation:
@@ -192,7 +193,7 @@ def _joint_table(ev: _Evaluation, elements: np.ndarray) -> np.ndarray:
 
 def forward_state(attack: AttackModel) -> np.ndarray:
     """The joint state V |+> (x) |omega> after Eve's forward interaction."""
-    return _evaluate_attack(attack).psi[0]
+    return _prepared_states(attack.omega[None], attack.v[None])[0]
 
 
 def ctrl_error(attack: AttackModel) -> float:

@@ -176,17 +176,12 @@ def _proof_chain(ev: _Evaluation, elements: np.ndarray, joint: np.ndarray, info:
                  rhs: np.ndarray) -> ProofTrace:
     """proof_chain for a stack of evaluated attacks, their POVM elements
     (N, m, d, d), joint tables, I(A:E) and trade-off bounds, computed on
-    the qubit blocks of psi, U and U psi."""
-    n, d = ev.psi.shape[0], ev.rho_eve.shape[-1]
-    u = ev.u
-    p_ctrl, p_sift = ev.p_ctrl, ev.p_sift
-    psi = ev.psi.reshape(n, 2, d)
-    w = ev.u_psi.reshape(n, 2, d)
+    the qubit blocks of U psi and of the branch pair U Z_z psi."""
+    p_ctrl, p_sift, w = ev.p_ctrl, ev.p_sift, ev.u_psi
 
-    # C_0 = Z_1 U Z_0 - Z_0 U Z_1 keeps the off-diagonal blocks of U, one
-    # negated, and C_1 = -C_0, so both steps share the blocks of C_0 psi
-    c_psi = np.stack([-(u[:, :d, d:] @ psi[:, 1, :, None])[..., 0],
-                      (u[:, d:, :d] @ psi[:, 0, :, None])[..., 0]], axis=1)
+    # C_0 psi = Z_1 U Z_0 psi - Z_0 U Z_1 psi is (-block 0 of U Z_1 psi,
+    # block 1 of U Z_0 psi), and C_1 = -C_0, so both steps share its blocks
+    c_psi = np.stack([-ev.branches[:, 1, 0], ev.branches[:, 0, 1]], axis=1)
     residual = _sq_norms(c_psi).sum(axis=-1) - p_sift
 
     p0 = _lifted_expectations(w[:, :, None], elements)  # block z of U psi alone, (N, 2, m)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqkd import protocol
+from sqkd import linalg, protocol
 from sqkd.attacks import FAMILIES, named_attack, random_attack
 from sqkd.cli import SWEEP_HEADER, _fmt, main
 from sqkd.eavesdropper import OptimizerConfig, accessible_information
@@ -68,6 +68,17 @@ def test_run_attack_file_roundtrip(capsys, tmp_path):
     from sqkd.serialize import povm_from_dict
 
     povm_from_dict(doc["povm"]).validate()
+
+
+@pytest.mark.parametrize("povm", ["z", "optimize"])
+def test_run_accepts_a_bit_flip_attack_whose_sift_sum_rounds_above_one(capsys, tmp_path, povm):
+    x = np.array([[0, 1], [1, 0]])
+    attack = protocol.AttackModel(1, [1.0], linalg.haar_unitary(2, 40), x)
+    attack_path = tmp_path / "attack.json"
+    write_document(attack_to_dict(attack), attack_path)
+    code, out, err = run_cli(capsys, "run", "--attack", str(attack_path), "--povm", povm)
+    assert code == 0, err
+    assert json.loads(out)["report"]["p_sift"] == 1.0
 
 
 def test_run_rejects_two_attack_sources(capsys):

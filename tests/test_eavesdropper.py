@@ -3,6 +3,7 @@ import pytest
 
 from sqkd import eavesdropper, linalg
 from sqkd.attacks import family_stack, named_attack, random_attack
+from sqkd.cli import main
 from sqkd.eavesdropper import (
     OptimizerConfig,
     _accessible_information,
@@ -14,7 +15,7 @@ from sqkd.eavesdropper import (
 )
 from sqkd.info import mutual_information, von_neumann_entropy
 from sqkd.povm import DegeneracyError, Povm, basis_povm, povm_from_factors
-from sqkd.protocol import AttackModel, _evaluate, eve_information, sift_branch
+from sqkd.protocol import AttackModel, _evaluate, ctrl_error, eve_information, sift_branch
 
 HOLEVO_ZERO_PLUS = 0.6008760366928561  # {|0>, |+>} equiprobable, frozen analytic value
 # info the earlier Nelder-Mead search reached on random_attack(d, s), 8 restarts, seed 0
@@ -458,3 +459,48 @@ def test_holevo_zero_plus_ensemble():
     plus = linalg.projector(linalg.ket_plus())
     got = holevo_bound(np.diag([1.0, 0.0]), plus, [0.5, 0.5])
     assert abs(got - HOLEVO_ZERO_PLUS) <= 1e-12
+
+
+def binary_entropy(p):
+    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
+def two_pure_state_figures(theta):
+    """Both named families leave SIFT alone and give Eve two equiprobable pure
+    states with overlap cos(theta): P_CTRL = sin^2(theta) / 2,
+    chi = h((1 - cos theta) / 2) and, by Levitin's formula for two pure
+    states, I_acc = 1 - h((1 - sin theta) / 2)."""
+    p_ctrl = np.sin(theta) ** 2 / 2.0
+    chi = binary_entropy(np.sin(theta / 2.0) ** 2)
+    info = 1.0 - binary_entropy(np.sin(np.pi / 4.0 - theta / 2.0) ** 2)
+    return p_ctrl, chi, info
+
+
+ORACLE_THETAS = [1e-3, 0.01, 0.107, 0.3, 0.7, 1.0, 1.5, np.pi / 2 - 1e-3]
+
+
+@pytest.mark.parametrize("family", ["partial-forward-cnot", "partial-return-cz"])
+@pytest.mark.parametrize("theta", ORACLE_THETAS)
+def test_families_match_the_two_pure_state_closed_forms(family, theta):
+    attack = named_attack(family, theta)
+    p_ctrl, chi, info = two_pure_state_figures(theta)
+    sift = sift_branch(attack)
+    assert sift.p_sift <= 1e-12
+    assert abs(ctrl_error(attack) - p_ctrl) <= 1e-12
+    assert abs(holevo_bound(sift.rho_eve[0], sift.rho_eve[1], sift.p_a) - chi) <= 1e-12
+    assert abs(accessible_information(attack, OptimizerConfig(restarts=4)).info - info) <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["partial-forward-cnot", "partial-return-cz"])
+def test_sweep_optimize_matches_the_two_pure_state_closed_forms(capsys, family):
+    assert main(["sweep", "--family", family, "--param", "theta=0.01:1.5:8", "--povm", "optimize"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    thetas = np.linspace(0.01, 1.5, 8)
+    assert len(rows) == len(thetas)
+    for theta, row in zip(thetas, rows):
+        p_ctrl, _, info = two_pure_state_figures(theta)
+        assert abs(float(row["p_ctrl"]) - p_ctrl) <= 1e-10
+        assert abs(float(row["p_sift"])) <= 1e-10
+        assert abs(float(row["info_lower"]) - info) <= 1e-10

@@ -127,7 +127,7 @@ def test_stack_matches_stacks_of_one(seed, d, n, m):
     ev, joint, info, rhs, trace = run_kernel(attacks, np.stack([p.elements for p in povms]))
     for k, (attack, eve) in enumerate(zip(attacks, povms)):
         one = _evaluate_attack(attack)
-        for field in ("psi", "u_psi", "branches", "p_ctrl", "p_a", "rho_eve", "p_b_given_a", "p_sift"):
+        for field in ("u_psi", "branches", "p_ctrl", "p_a", "rho_eve", "p_b_given_a", "p_sift"):
             assert np.array_equal(getattr(ev, field)[k], getattr(one, field)[0]), field
         assert np.array_equal(joint[k], joint_distribution(attack, eve))
         report = verify_tradeoff(attack, eve)

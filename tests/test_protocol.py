@@ -41,6 +41,17 @@ def test_forward_state_stays_normalized():
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
 
+def test_forward_state_runs_no_evaluation(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("forward_state ran an evaluation")
+
+    monkeypatch.setattr(protocol, "_evaluate", no_evaluation)
+    for seed in range(5):
+        attack = random_attack(3, seed)
+        psi = forward_state(attack)
+        assert np.allclose(psi, attack.v @ linalg.tensor(linalg.ket_plus(), attack.omega), atol=1e-14)
+
+
 def test_forward_state_rejects_invalid_attack():
     with pytest.raises(ValueError, match="unitary"):
         forward_state(AttackModel(2, linalg.basis_state(2, 0), 1.1 * np.eye(4), np.eye(4)))

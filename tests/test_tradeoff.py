@@ -213,6 +213,24 @@ def test_verify_tradeoff_raises_when_sift_routes_disagree(monkeypatch):
         verify_tradeoff(random_attack(2, 3), basis_povm(2, "z"))
 
 
+def bit_flip_attack(seed):
+    """Any forward unitary, then U = X: Eve flips Alice's bit on the way back,
+    so the SIFT error is 1 and its defining sum can land above it."""
+    return protocol.AttackModel(1, [1.0], linalg.haar_unitary(2, seed), np.array([[0, 1], [1, 0]]))
+
+
+def test_bit_flip_attacks_verify_with_p_sift_clamped():
+    raw_above_one = 0
+    for seed in range(200):
+        attack = bit_flip_attack(seed)
+        report = verify_tradeoff(attack, basis_povm(1, "z"))
+        assert report.p_sift <= 1.0 and report.holds
+        sift = protocol.sift_branch(attack)
+        raw = sift.p_b_given_a[0, 1] * sift.p_a[0] + sift.p_b_given_a[1, 0] * sift.p_a[1]
+        raw_above_one += raw > 1.0
+    assert raw_above_one >= 1  # the clamp is exercised, not only the pass-through
+
+
 def test_proof_chain_matches_lifted_projector_route():
     # reference: every qubit and ancilla operator lifted to H (x) K with kron
     root = np.random.SeedSequence(4321)
