@@ -8,6 +8,7 @@ document.
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -51,16 +52,21 @@ def _emit(text: str, out) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _family_theta(args, form: str) -> str:
-    """Check --family and its --param theta=<form>; returns the text after "theta="."""
+def _family_theta(args, form: str, *kinds) -> list:
+    """Check --family and its --param theta=<form>; returns the ":"-separated
+    fields after "theta=", each converted by the matching entry of `kinds`."""
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}; known: {sorted(FAMILIES)}")
     key, _, value = (args.param or "").partition("=")
-    if not key or not value:
-        raise ValueError(f"expected --param theta={form}, got {args.param!r}")
-    if key != "theta":
+    fields = value.split(":") if key and value else []
+    if fields and key != "theta":
         raise ValueError(f"family {args.family} has no parameter {key!r}")
-    return value
+    if len(fields) == len(kinds):
+        try:
+            return [kind(field) for kind, field in zip(kinds, fields)]
+        except ValueError:
+            pass
+    raise ValueError(f"expected --param theta={form}, got {args.param!r}")
 
 
 def _resolve_attack(args) -> tuple:
@@ -74,7 +80,7 @@ def _resolve_attack(args) -> tuple:
         if Path(name).exists():
             return parse_attack_file(name), {"file": name}
         raise ValueError(f"--attack {name!r} is neither a known attack name nor an existing file")
-    theta = float(_family_theta(args, "value"))
+    theta, = _family_theta(args, "value", float)
     return named_attack(args.family, theta), {"family": args.family, "theta": theta}
 
 
@@ -121,10 +127,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    parts = _family_theta(args, "start:stop:count").split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected --param theta=start:stop:count, got {args.param!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, count = _family_theta(args, "start:stop:count", float, float, int)
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     grid = _check_thetas(np.linspace(start, stop, count))  # the whole grid, before any point is evaluated
@@ -217,6 +220,7 @@ def cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
+@functools.cache  # main parses every call with this one parser; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqkd",
@@ -266,6 +270,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "optimize": cmd_optimize, "verify": cmd_verify}
     try:
+        if args.seed < 0:  # every subcommand has --seed
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

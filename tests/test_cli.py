@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -471,3 +472,69 @@ def test_cli_import_loads_no_scipy_submodules():
 def test_unknown_suite_rejected():
     proc = run_python("-m", "sqkd.cli", "verify", "--suite", "nonsense")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--attack", "forward-cnot", "--povm", "optimize", "--seed", "-1"],
+    ["sweep", "--family", "partial-return-cz", "--param", "theta=0:1:3", "--povm", "optimize", "--seed", "-2"],
+    ["verify", "--suite", "lemma2", "--seed", "-1"],
+    ["optimize", "--seed", "-1"],
+])
+def test_negative_seed_is_rejected_before_any_evaluation(capsys, monkeypatch, argv):
+    calls = []
+    evaluate = protocol._evaluate
+    monkeypatch.setattr(protocol, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --seed must be >= 0, got {argv[-1]}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, param, form", [
+    ("run", "theta=0.3:1:3", "value"),
+    ("sweep", "theta=0:a:3", "start:stop:count"),
+    ("sweep", "theta=0:1:2.5", "start:stop:count"),
+])
+def test_malformed_param_names_the_flag_and_the_form(capsys, command, param, form):
+    code, _, err = run_cli(capsys, command, "--family", "partial-return-cz", "--param", param)
+    assert code == 2
+    assert err == f"error: expected --param theta={form}, got {param!r}\n"
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    run_cli(capsys, "run", "--attack", "identity")
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    sweep = ["sweep", "--family", "partial-forward-cnot", "--param", "theta=0:1:4"]
+    for argv in [
+        ["run", "--attack", "identity"],
+        ["run", "--attack", "forward-cnot", "--povm", "x"],
+        ["run", "--family", "partial-return-cz", "--param", "theta=0.7"],
+        sweep,
+        [*sweep, "--povm", "x"],
+        ["verify", "--suite", "lemma2", "--trials", "20"],
+        ["verify", "--suite", "lemma1", "--trials", "20", "--seed", "3"],
+        ["run", "--attack", "no-such-thing"],
+        ["run", "--attack", "identity", "--seed", "-1"],
+    ]:
+        assert run_cli(capsys, *argv)[0] in (0, 2)
+    with pytest.raises(SystemExit, match="2"):
+        main(["run", "--bogus"])
+    assert built == []
+
+
+def test_a_shared_parser_carries_nothing_between_calls(capsys):
+    assert run_cli(capsys, "run", "--attack", "identity", "--povm", "optimize", "--restarts", "3", "--seed", "5")[0] == 0
+    with pytest.raises(SystemExit, match="2"):
+        main(["run", "--bogus"])
+    assert run_cli(capsys, "run")[0] == 2
+    for argv in (  # their --restarts defaults differ: 8 for sweep, 32 for run
+        ["sweep", "--family", "partial-return-cz", "--param", "theta=0:1.5:5", "--povm", "optimize"],
+        ["run", "--attack", "forward-cnot", "--povm", "optimize"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = run_python("-m", "sqkd.cli", *argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout)

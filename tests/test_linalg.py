@@ -116,12 +116,10 @@ def test_haar_unitary_seed_determinism():
 
 def test_haar_unitary_first_moment():
     # E|U_00|^2 = 1/dim for the Haar measure; Monte-Carlo at dim 2
-    rng = np.random.default_rng(2024)
-    total = 0.0
-    n = 100_000
-    for _ in range(n):
-        total += abs(linalg.haar_unitary(2, rng)[0, 0]) ** 2
-    assert abs(total / n - 0.5) <= 0.01
+    u = linalg.haar_from_ginibre(linalg.ginibre(np.random.default_rng(2024), 100_000, 2))
+    rng = np.random.default_rng(2024)  # the same draws, one unitary at a time
+    assert all(np.array_equal(linalg.haar_unitary(2, rng), u[k]) for k in range(1000))
+    assert abs(np.mean(np.abs(u[:, 0, 0]) ** 2) - 0.5) <= 0.01
 
 
 def test_validity_checks():
