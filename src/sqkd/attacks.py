@@ -95,7 +95,11 @@ def named_attack(name: str, theta: float | None = None) -> AttackModel:
         raise ValueError(f"unknown attack name {name!r}; known: {list(NAMES)}")
     if theta is None:
         raise ValueError(f"attack {name!r} needs a theta parameter")
-    return AttackModel(2, *(x[0] for x in family_stack(name, [float(theta)])))
+    try:
+        theta = float(theta)
+    except ValueError:
+        raise ValueError(f"attack {name!r} needs a numeric theta, got {theta!r}") from None
+    return AttackModel(2, *(x[0] for x in family_stack(name, [theta])))
 
 
 def random_attack(d: int, seed) -> AttackModel:

@@ -19,7 +19,7 @@ from . import __version__
 from .attacks import FAMILIES, NAMES, _check_thetas, named_attack, parameterized_attack
 from .eavesdropper import OptimizerConfig, _accessible_information, holevo_bound
 from .povm import basis_povm
-from .protocol import _CHUNK, _evaluate, _evaluate_attack, check_attacks
+from .protocol import _evaluate, _evaluate_attack, check_attacks
 from .serialize import (
     attack_to_dict,
     parse_attack_file,
@@ -32,6 +32,7 @@ from .suites import SUITE_NAMES, run_suite
 from .tradeoff import SLACK_TOL, _assess, _report, tradeoff_bound
 
 SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
+_CHUNK = 256  # most grid points of a sweep in one stack; bounds the size of the stacks
 RESTARTS_HELP = ("POVM optimizer starts: the eigenbasis of p_a(0) rho_0 - p_a(1) rho_1, "
                  "the computational basis, then random POVMs seeded by --seed")
 
@@ -157,6 +158,8 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"--objective must be 'max-gap' or 'max-info', got {args.objective!r}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not np.isfinite(args.epsilon):  # NaN would switch the max-info penalty off and write invalid JSON
+        raise ValueError(f"--epsilon must be finite, got {args.epsilon}")
     n_params = 2 * (2 * d) ** 2
     outer_seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
 

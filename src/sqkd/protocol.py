@@ -13,9 +13,9 @@ of one ancilla dimension d, shaped (N, d) and (N, 2d, 2d), and
 stacked matmul or an einsum.  Of the kernel, only `_evaluate` sees V, U
 and psi: it hands on the qubit blocks of U psi and of the branch pair
 U Z_z psi, and the proof chain reads C_0 psi and U psi from those.
-Sweeps evaluate their grid in stacks of up to _CHUNK instances, the
-suites each (d, m) group of a window of draws in slices of up to
-_CHUNK, and every public function here is the kernel on a stack of one.
+A sweep evaluates each chunk of its grid (the chunk size is `cli`'s) in
+one stack, a suite each (d, m) group of a window of draws, and every
+public function here is the kernel on a stack of one.
 """
 
 import functools
@@ -29,7 +29,6 @@ from .povm import Povm
 
 DEGENERATE_BRANCH_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-12
-_CHUNK = 256  # most instances in one stack of a sweep or a suite group slice; bounds the size of the stacks
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
 """Seeded randomized verification suites.
 
-Each suite draws its instances from per-trial children of one root
-SeedSequence, so a (suite, trials, seed) triple is fully reproducible
-and any worst instance can be regenerated from its trial index.  A trial
-seeds one generator from its child, draws its shape from it and then
-every other number of the trial in one block of standard normals.
+Trial k of a suite draws its instance from the child seed named by k,
+SeedSequence(seed, spawn_key=(k,)), the k-th child that
+SeedSequence(seed).spawn would give, so a (suite, trials, seed) triple is
+fully reproducible and any worst instance can be regenerated from its
+trial index.  A trial seeds one generator from its child, draws its
+shape from it and then every other number of the trial in one block of
+standard normals.
 
-Trials are drawn in windows of _WINDOW (1024), their children spawned
-_CHUNK (256) at a time.  Within a window the trials are grouped by shape
-(ancilla dimension d and outcome count m), and each group is built,
-validated and evaluated in slices of at most _CHUNK trials, one call of
-the stacked kernel per slice, the kernel that the scalar functions of
-`protocol` and `tradeoff` run on stacks of one.  The complex arrays are
-sliced out of a slice's stacked normal blocks, not built per trial.
+Trials are drawn one window of _WINDOW (1024) at a time and grouped by
+shape (ancilla dimension d and outcome count m) as they are drawn.  Each
+group of a window is then built, validated and evaluated in one call of
+the stacked kernel, the kernel that the scalar functions of `protocol`
+and `tradeoff` run on stacks of one.  The complex arrays are sliced out
+of a group's stacked normal blocks, not built per trial.
 """
 
 import math
@@ -23,11 +24,11 @@ import numpy as np
 from . import linalg
 from .info import mutual_information
 from .povm import Povm, check_elements, elements_from_factors
-from .protocol import _CHUNK, CROSS_CHECK_TOL, AttackModel, _evaluate, check_attacks
+from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, check_attacks
 from .tradeoff import SLACK_TOL, STEPS, _assess, _overlap_slack, _proof_chain, fidelity_information_bound
 
 _ONE_SIDED = tuple(s for s in STEPS if not s.startswith("s1"))
-_WINDOW = 4 * _CHUNK  # trials drawn and grouped by shape together; bounds the draws held at once
+_WINDOW = 1024  # trials drawn and grouped by shape together; bounds the draws held at once and the stacks
 
 
 @dataclass
@@ -175,28 +176,21 @@ SUITE_NAMES = tuple(SUITES)
 def _suite_figures(suite: str, trials: int, seed: int) -> dict:
     """Every named per-trial figure of a suite run, each an array over the trials."""
     draw, evaluate, _, _ = SUITES[suite]
-    root = np.random.SeedSequence(seed)
     figures = {}
     for start in range(0, trials, _WINDOW):
-        end = min(start + _WINDOW, trials)
-        draws = []
-        for first in range(start, end, _CHUNK):
-            # spawn carries on from the children already spawned, so trial k gets child k
-            draws += [draw(child) for child in root.spawn(min(_CHUNK, end - first))]
-        groups = {}
-        for i, (key, _) in enumerate(draws):
-            groups.setdefault(key, []).append(i)
-        for key, members in groups.items():
-            for first in range(0, len(members), _CHUNK):
-                part = members[first:first + _CHUNK]
-                rows = start + np.array(part)
-                group = [draws[i][1] for i in part]
-                try:
-                    results = evaluate(key, group)
-                except ValueError as exc:
-                    raise _first_failure(suite, evaluate, key, group, rows) or exc
-                for name, values in results.items():
-                    figures.setdefault(name, np.empty(trials, dtype=values.dtype))[rows] = values
+        groups = {}  # a fresh dict, so that the last window's draws go before this one's are made
+        for k in range(start, min(start + _WINDOW, trials)):
+            key, g = draw(np.random.SeedSequence(seed, spawn_key=(k,)))
+            rows, group = groups.setdefault(key, ([], []))
+            rows.append(k)
+            group.append(g)
+        for key, (rows, group) in groups.items():
+            try:
+                results = evaluate(key, group)
+            except ValueError as exc:
+                raise _first_failure(suite, evaluate, key, group, rows) or exc
+            for name, values in results.items():
+                figures.setdefault(name, np.empty(trials, dtype=values.dtype))[rows] = values
     return figures
 
 

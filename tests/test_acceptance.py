@@ -16,7 +16,7 @@ from sqkd.cli import main
 from sqkd.eavesdropper import OptimizerConfig, accessible_information, holevo_bound
 from sqkd.info import mutual_information
 from sqkd.povm import basis_povm
-from sqkd.protocol import AttackModel, ctrl_error, sift_branch, sift_error_operator
+from sqkd.protocol import AttackModel, _evaluate, _prepared_states, _sift_error_operator, ctrl_error, sift_branch
 from sqkd.suites import run_suite
 from sqkd.tradeoff import fidelity_information_bound, verify_tradeoff
 
@@ -129,12 +129,17 @@ def test_derivation_chain_suite_10k():
 
 
 def test_sift_error_cross_check_10k():
-    worst = 0.0
+    groups = {}
     root = np.random.SeedSequence(17)
     for child in root.spawn(10_000):
         rng = np.random.default_rng(child)
         attack = random_attack(int(rng.choice([2, 3, 4])), child)
-        worst = max(worst, abs(sift_branch(attack).p_sift - sift_error_operator(attack)))
+        groups.setdefault(attack.ancilla_dim, []).append(attack)
+    worst = 0.0
+    for attacks in groups.values():  # each ancilla dimension as one stack
+        omega, v, u = (np.stack([getattr(a, f) for a in attacks]) for f in ("omega", "v", "u"))
+        operator_form = _sift_error_operator(_prepared_states(omega, v), u)
+        worst = max(worst, float(np.abs(_evaluate(omega, v, u).p_sift - operator_form).max()))
     ok = worst <= 1e-12
     assert report("sift-error-cross-check-10k", ok, f"max_route_difference={worst:.3e}")
 

@@ -53,6 +53,12 @@ def test_partial_theta_inline_name():
         named_attack("partial-return-cz(0.3)", 0.3)
 
 
+@pytest.mark.parametrize("args", [("partial-return-cz(abc)",), ("partial-return-cz", "abc")])
+def test_non_numeric_theta_names_the_attack(args):
+    with pytest.raises(ValueError, match=r"^attack 'partial-return-cz' needs a numeric theta, got 'abc'$"):
+        named_attack(*args)
+
+
 def test_partial_theta_out_of_range():
     with pytest.raises(ValueError, match="theta"):
         named_attack("partial-forward-cnot", 2.0)

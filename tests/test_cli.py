@@ -491,6 +491,23 @@ def test_negative_seed_is_rejected_before_any_evaluation(capsys, monkeypatch, ar
     assert calls == []
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_non_finite_epsilon_is_rejected_before_the_search(capsys, monkeypatch, epsilon):
+    calls = []
+    evaluate = protocol._evaluate
+    monkeypatch.setattr(protocol, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    code, out, err = run_cli(capsys, "optimize", "--objective", "max-info", f"--epsilon={epsilon}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --epsilon must be finite, got {float(epsilon)}\n"
+    assert calls == []
+
+
+def test_non_numeric_inline_theta_names_the_attack(capsys):
+    code, out, err = run_cli(capsys, "run", "--attack", "partial-return-cz(abc)")
+    assert (code, out) == (2, "")
+    assert err == "error: attack 'partial-return-cz' needs a numeric theta, got 'abc'\n"
+
+
 @pytest.mark.parametrize("command, param, form", [
     ("run", "theta=0.3:1:3", "value"),
     ("sweep", "theta=0:a:3", "start:stop:count"),

@@ -203,31 +203,43 @@ def test_a_trial_draws_the_same_instance_every_time():
 
 
 def test_windows_do_not_change_results(monkeypatch):
-    # 1100 trials end in a partial window, and in a partial chunk of it; with
-    # chunks of 4 the larger groups of a window are evaluated in several slices
+    # 1100 trials end in a partial window whatever its size
     want = {suite: _suite_figures(suite, 1100, 2) for suite in ("theorem", "proof-chain", "lemma2")}
-    for window, chunk in ((256, 256), (64, 16), (64, 4)):
+    for window in (256, 64, 4):
         monkeypatch.setattr(suites, "_WINDOW", window)
-        monkeypatch.setattr(suites, "_CHUNK", chunk)
         for suite, figures in want.items():
             got = _suite_figures(suite, 1100, 2)
             assert got.keys() == figures.keys()
             for name, values in figures.items():
-                assert np.array_equal(got[name], values), (suite, window, chunk, name)
+                assert np.array_equal(got[name], values), (suite, window, name)
+
+
+def test_each_shape_group_of_a_window_is_one_evaluation(monkeypatch):
+    calls = []
+
+    def evaluate(key, draws):
+        calls.append(len(draws))
+        return {"slack": np.ones(len(draws))}
+
+    monkeypatch.setitem(SUITES, "stub", (lambda child: ("one", None), evaluate, None, None))
+    _suite_figures("stub", 1100, 0)
+    assert calls == [1024, 76]
 
 
 def test_suite_memory_is_bounded_by_the_window():
-    # the draws held at once are one window's, whatever the number of trials
+    # the draws held at once are one window's, whatever the number of trials:
+    # a second window adds none beside the first's, and more windows add only the figures
     for suite in ("lemma2", "theorem"):
         peaks = []
-        for trials in (2048, 10_000):
+        for trials in (1024, 2048, 10_000):
             tracemalloc.start()
             try:
                 run_suite(suite, trials, 1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0], (suite, peaks)
+        assert peaks[1] <= 1.15 * peaks[0], (suite, peaks)
+        assert peaks[2] <= 1.25 * peaks[1], (suite, peaks)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
