@@ -11,7 +11,7 @@ from .eavesdropper import (
     holevo_bound,
 )
 from .info import mutual_information, shannon_entropy, von_neumann_entropy
-from .linalg import haar_unitary, operator_norm, partial_trace_qubit, tensor
+from .linalg import haar_unitary, operator_norm
 from .povm import DegeneracyError, Povm, basis_povm, povm_from_factors, random_povm
 from .protocol import (
     AttackModel,
@@ -58,7 +58,6 @@ __all__ = [
     "named_attack",
     "operator_norm",
     "parameterized_attack",
-    "partial_trace_qubit",
     "povm_from_factors",
     "povm_overlap_slack",
     "proof_chain",
@@ -68,7 +67,6 @@ __all__ = [
     "shannon_entropy",
     "sift_branch",
     "sift_error_operator",
-    "tensor",
     "tradeoff_bound",
     "verify_tradeoff",
     "von_neumann_entropy",

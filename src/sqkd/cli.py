@@ -13,10 +13,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .attacks import FAMILIES, NAMES, _check_thetas, named_attack, parameterized_attack
+from .attacks import _NAME_WITH_ARG, FAMILIES, NAMES, _check_thetas, named_attack, parameterized_attack
 from .eavesdropper import OptimizerConfig, _accessible_information, holevo_bound
 from .povm import basis_povm
 from .protocol import _evaluate, _evaluate_attack, check_attacks
@@ -38,7 +37,7 @@ RESTARTS_HELP = ("POVM optimizer starts: the eigenbasis of p_a(0) rho_0 - p_a(1)
 
 
 def _versions() -> dict:
-    return {"sqkd": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"sqkd": __version__, "numpy": np.__version__}
 
 
 def _fmt(x: float) -> str:
@@ -76,7 +75,8 @@ def _resolve_attack(args) -> tuple:
         raise ValueError("give exactly one attack source: --attack or --family")
     if args.attack is not None:
         name = args.attack
-        if name.split("(")[0] in NAMES:
+        inline = _NAME_WITH_ARG.match(name.strip())  # NAME(arg), as named_attack parses it
+        if name in NAMES or (inline and inline.group(1) in NAMES):
             return named_attack(name), name
         if Path(name).exists():
             return parse_attack_file(name), {"file": name}
@@ -149,6 +149,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    import scipy
     from scipy.optimize import minimize
 
     d = args.ancilla_dim
@@ -195,7 +196,7 @@ def cmd_optimize(args) -> int:
     report = _report(ev, final.povm)
     doc = {
         "command": "optimize",
-        "versions": _versions(),
+        "versions": {**_versions(), "scipy": scipy.__version__},
         "seed": args.seed,
         "objective": args.objective,
         "epsilon": args.epsilon,

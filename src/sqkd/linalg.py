@@ -11,10 +11,11 @@ of same-shape matrices; the checks then cover every matrix of the stack.
 
 import numpy as np
 
+from .info import NEG_PROB_TOL
+
 TOL_UNITARY = 1e-10
 TOL_NORM = 1e-10
 TOL_POSITIVE = 1e-10
-EIG_CLAMP = 1e-12
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -30,43 +31,9 @@ def ket_plus() -> np.ndarray:
     return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def ket_minus() -> np.ndarray:
-    return np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-
-
-def projector(vec: np.ndarray) -> np.ndarray:
-    """Rank-one projector |vec><vec| (vec need not be normalized)."""
-    v = np.asarray(vec, dtype=complex)
-    return np.outer(v, v.conj())
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(np.asarray(m).conj(), -1, -2)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the qubit-major index convention.
-
-    Works for two vectors or two square matrices; the first factor is
-    the major (slow) index.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
-    """Trace out the qubit from an operator on H (x) K.
-
-    With the qubit-major layout the result is the sum of the two
-    diagonal d x d blocks; the total trace is preserved.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] % 2 != 0:
-        raise ValueError(f"dimension {m.shape[0]} is not 2*d; cannot trace out the qubit")
-    d = m.shape[0] // 2
-    return m[:d, :d] + m[d:, d:]
 
 
 def operator_norm(m: np.ndarray):
@@ -117,21 +84,6 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     return haar_from_ginibre(ginibre(np.random.default_rng(seed), 1, dim))[0]
 
 
-def random_state(dim: int, seed) -> np.ndarray:
-    """Normalized random complex vector (Gaussian amplitudes)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_density(dim: int, seed) -> np.ndarray:
-    """Random density matrix G G^dag / tr, G a Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
 def unitary_deviation(m: np.ndarray) -> float:
     """Max-entry deviation of m^dag m from the identity, over a whole stack."""
     m = np.asarray(m, dtype=complex)
@@ -179,8 +131,8 @@ def clamp_probability(x):
     anything further out, and NaN, raises.  A scalar comes back as a float.
     """
     p = np.asarray(x, dtype=float)
-    if not (p.min() >= -EIG_CLAMP and p.max() <= 1.0 + EIG_CLAMP):  # NaN fails too
-        bad = p[~((p >= -EIG_CLAMP) & (p <= 1.0 + EIG_CLAMP))]
-        raise ValueError(f"value {float(bad[0])!r} is not a probability up to tolerance {EIG_CLAMP}")
+    if not (p.min() >= -NEG_PROB_TOL and p.max() <= 1.0 + NEG_PROB_TOL):  # NaN fails too
+        bad = p[~((p >= -NEG_PROB_TOL) & (p <= 1.0 + NEG_PROB_TOL))]
+        raise ValueError(f"value {float(bad[0])!r} is not a probability up to tolerance {NEG_PROB_TOL}")
     p = np.minimum(np.maximum(p, 0.0), 1.0)
     return float(p) if p.ndim == 0 else p

@@ -206,8 +206,7 @@ def ctrl_error(attack: AttackModel) -> float:
 @functools.cache
 def _z_projectors(d: int) -> np.ndarray:
     """Z_0 and Z_1 = |z><z| (x) 1_K as explicit 2d x 2d matrices, built once per d (read-only)."""
-    eye_k = np.eye(d, dtype=complex)
-    z = np.stack([linalg.tensor(linalg.projector(linalg.basis_state(2, zz)), eye_k) for zz in (0, 1)])
+    z = np.stack([np.diag(np.repeat([1.0 - zz, zz], d)).astype(complex) for zz in (0, 1)])
     z.flags.writeable = False
     return z
 

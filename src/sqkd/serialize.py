@@ -123,15 +123,3 @@ def report_to_dict(report) -> dict:
         },
     }
 
-
-def check_report_dict(doc: dict) -> None:
-    """Schema check for an emitted run/optimize report body."""
-    required = ("p_ctrl", "p_sift", "info", "rhs", "gap", "holds", "trace")
-    for key in required:
-        if key not in doc:
-            raise ValueError(f"report is missing the {key!r} field")
-    if abs(doc["gap"] - (doc["rhs"] - doc["info"])) > 1e-12:
-        raise ValueError("report gap is inconsistent with rhs - info")
-    for key in ("lhs_overlap", "fidelity_sum", "p0", "p0_marginal", "step_slacks"):
-        if key not in doc["trace"]:
-            raise ValueError(f"report trace is missing the {key!r} field")

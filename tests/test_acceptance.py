@@ -101,7 +101,7 @@ def test_fidelity_info_bound_suite_100k():
 
 def test_overlap_bound_suite_10k():
     result = run_suite("lemma2", 10_000, seed=3)
-    phi = linalg.random_state(6, 0)
+    phi = linalg.haar_unitary(6, 0)[:, 0]
     from sqkd.povm import Povm
     from sqkd.tradeoff import povm_overlap_slack
 

@@ -9,13 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from sqkd import linalg, protocol
 from sqkd.attacks import FAMILIES, named_attack, random_attack
 from sqkd.cli import SWEEP_HEADER, _fmt, main
 from sqkd.eavesdropper import OptimizerConfig, accessible_information
 from sqkd.povm import basis_povm, random_povm
-from sqkd.serialize import attack_to_dict, check_report_dict, povm_to_dict, write_document
+from sqkd.serialize import (
+    attack_from_dict,
+    attack_to_dict,
+    povm_from_dict,
+    povm_to_dict,
+    report_to_dict,
+    write_document,
+)
 from sqkd.suites import SUITE_NAMES, SuiteResult
 from sqkd.tradeoff import verify_tradeoff
 
@@ -35,14 +43,20 @@ def run_python(*args, **kwargs):
                           env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
+def roundtrip(report) -> dict:
+    """The report section of a document, as the reader of its JSON sees it."""
+    return json.loads(write_document(report_to_dict(report)))
+
+
 def test_run_named_attack_stdout(capsys):
     code, out, _ = run_cli(capsys, "run", "--attack", "forward-cnot", "--povm", "z")
     assert code == 0
     doc = json.loads(out)
-    check_report_dict(doc["report"])
+    assert doc["report"] == roundtrip(verify_tradeoff(named_attack("forward-cnot"), basis_povm(2, "z")))
     assert abs(doc["report"]["info"] - 1.0) <= 1e-9
     assert doc["report"]["holds"] is True
     assert doc["versions"]["sqkd"]
+    assert set(doc["versions"]) == {"sqkd", "numpy"}  # a run uses no scipy
 
 
 def test_run_family_attack(capsys, tmp_path):
@@ -53,7 +67,8 @@ def test_run_family_attack(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out_path.read_text())
-    check_report_dict(doc["report"])
+    expected = verify_tradeoff(named_attack("partial-return-cz", 0.7), basis_povm(2, "x"))
+    assert doc["report"] == roundtrip(expected)
     assert doc["attack_source"] == {"family": "partial-return-cz", "theta": 0.7}
 
 
@@ -66,8 +81,6 @@ def test_run_attack_file_roundtrip(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["attack_source"] == {"file": str(attack_path)}
     # emitted POVM parses back bit-identically
-    from sqkd.serialize import povm_from_dict
-
     povm_from_dict(doc["povm"]).validate()
 
 
@@ -95,6 +108,22 @@ def test_run_rejects_unknown_attack(capsys):
     code, _, err = run_cli(capsys, "run", "--attack", "no-such-thing")
     assert code == 2
     assert "neither" in err
+
+
+def test_an_attack_file_named_like_an_inline_attack_is_read_as_a_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("partial-return-cz(0.7).json", "identity(copy).json"):
+        write_document(attack_to_dict(random_attack(2, 3)), tmp_path / name)
+        code, out, _ = run_cli(capsys, "run", "--attack", name, "--povm", "z")
+        assert code == 0
+        assert json.loads(out)["attack_source"] == {"file": name}
+    code, out, _ = run_cli(capsys, "run", "--attack", "partial-return-cz(0.7)", "--povm", "z")
+    assert code == 0
+    assert json.loads(out)["attack_source"] == "partial-return-cz(0.7)"
+    (tmp_path / "identity(copy).json").unlink()
+    code, _, err = run_cli(capsys, "run", "--attack", "identity(copy).json")
+    assert code == 2
+    assert "neither a known attack name nor an existing file" in err
 
 
 def test_run_rejects_corrupt_attack_file(capsys, tmp_path):
@@ -415,8 +444,10 @@ def test_optimize_small_budget(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     doc = json.loads(out_path.read_text())
-    check_report_dict(doc["report"])
+    expected = verify_tradeoff(attack_from_dict(doc["attack"]), povm_from_dict(doc["povm"]))
+    assert doc["report"] == roundtrip(expected)
     assert doc["report"]["holds"] is True
+    assert doc["versions"]["scipy"] == scipy.__version__
     assert len(doc["restart_objectives"]) == 1
     assert len(reports) == 1
 
@@ -464,7 +495,7 @@ def test_module_entry_point():
 
 
 def test_cli_import_loads_no_scipy_submodules():
-    code = "import sys, sqkd.cli; print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])"
+    code = "import sys, sqkd.cli; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
     proc = run_python("-c", code, check=True)
     assert proc.stdout.strip() == "[]"
 

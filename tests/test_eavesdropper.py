@@ -86,7 +86,7 @@ def test_basis_povms():
     z = basis_povm(2, "z")
     assert np.allclose(z.elements[0], np.diag([1.0, 0.0]))
     x = basis_povm(2, "x")
-    assert np.allclose(x.elements[0], linalg.projector(linalg.ket_plus()))
+    assert np.allclose(x.elements[0], np.full((2, 2), 0.5))
     with pytest.raises(ValueError):
         basis_povm(2, "y")
 
@@ -145,8 +145,8 @@ def test_zero_disturbance_attack_yields_zero_information():
     attack = AttackModel(
         3,
         linalg.basis_state(3, 0),
-        linalg.tensor(np.eye(2), w_v),
-        linalg.tensor(np.eye(2), w_u),
+        np.kron(np.eye(2), w_v),
+        np.kron(np.eye(2), w_u),
     )
     from sqkd.protocol import ctrl_error
 
@@ -224,7 +224,7 @@ def degenerate_sift_attack():
     """A Hadamard on the qubit before Alice: she always reads 0, so p_a(1) = 0."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     u = linalg.haar_unitary(4, 5)
-    return AttackModel(2, linalg.basis_state(2, 0), linalg.tensor(h, np.eye(2)), u)
+    return AttackModel(2, linalg.basis_state(2, 0), np.kron(h, np.eye(2)), u)
 
 
 @pytest.mark.parametrize("attack", [random_attack(1, 3), degenerate_sift_attack()], ids=["d=1", "p_a(1)=0"])
@@ -318,7 +318,7 @@ def per_start_solve(attack, cfg):
     m = max(2, attack.ancilla_dim ** 2)
     runs = [per_start_ascend(tau, v0, cfg.max_iterations) for v0 in _starts(tau[None], m, cfg)[0]]
     best = max(range(len(runs)), key=lambda k: (runs[k][1], -k))
-    elements = np.stack([linalg.projector(v) for v in runs[best][0].T])
+    elements = np.stack([np.outer(v, v.conj()) for v in runs[best][0].T])
     return [r[1] for r in runs], [r[2] for r in runs], [r[3] for r in runs], elements
 
 
@@ -446,7 +446,9 @@ def test_holevo_matches_the_per_state_formula(attack):
 
 
 def test_holevo_identical_states():
-    rho = linalg.random_density(3, 2)
+    g = linalg.ginibre(np.random.default_rng(2), 1, 3)[0]
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
     assert holevo_bound(rho, rho, [0.5, 0.5]) <= 1e-12
 
 
@@ -456,7 +458,7 @@ def test_holevo_orthogonal_pure_states():
 
 
 def test_holevo_zero_plus_ensemble():
-    plus = linalg.projector(linalg.ket_plus())
+    plus = np.full((2, 2), 0.5)  # |+><+|
     got = holevo_bound(np.diag([1.0, 0.0]), plus, [0.5, 0.5])
     assert abs(got - HOLEVO_ZERO_PLUS) <= 1e-12
 

@@ -25,7 +25,7 @@ def stack(attacks):
 def degenerate_attack(d, rng):
     """V = H (x) 1 sends |+> to |0>, so Alice's z=1 branch never fires."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    return AttackModel(d, linalg.basis_state(d, 0), linalg.tensor(h, np.eye(d)), linalg.haar_unitary(2 * d, rng))
+    return AttackModel(d, linalg.basis_state(d, 0), np.kron(h, np.eye(d)), linalg.haar_unitary(2 * d, rng))
 
 
 def run_kernel(attacks, elements):

@@ -20,12 +20,12 @@ from sqkd.protocol import (
 def hadamard_forward_attack(d=2):
     """V = H (x) 1 sends |+> to |0>, so Alice's z=1 branch never fires."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    return AttackModel(d, linalg.basis_state(d, 0), linalg.tensor(h, np.eye(d)), np.eye(2 * d, dtype=complex))
+    return AttackModel(d, linalg.basis_state(d, 0), np.kron(h, np.eye(d)), np.eye(2 * d, dtype=complex))
 
 
 def test_forward_state_identity():
     psi = forward_state(named_attack("identity"))
-    assert np.allclose(psi, linalg.tensor(linalg.ket_plus(), linalg.basis_state(2, 0)))
+    assert np.allclose(psi, np.kron(linalg.ket_plus(), linalg.basis_state(2, 0)))
 
 
 def test_forward_state_forward_cnot():
@@ -49,7 +49,7 @@ def test_forward_state_runs_no_evaluation(monkeypatch):
     for seed in range(5):
         attack = random_attack(3, seed)
         psi = forward_state(attack)
-        assert np.allclose(psi, attack.v @ linalg.tensor(linalg.ket_plus(), attack.omega), atol=1e-14)
+        assert np.allclose(psi, attack.v @ np.kron(linalg.ket_plus(), attack.omega), atol=1e-14)
 
 
 def test_forward_state_rejects_invalid_attack():
@@ -97,9 +97,8 @@ def test_sift_forward_cnot():
 def test_sift_return_cz():
     out = sift_branch(named_attack("return-cz"))
     assert abs(out.p_sift) <= 1e-12
-    plus, minus = linalg.ket_plus(), linalg.ket_minus()
-    assert np.allclose(out.rho_eve[0], linalg.projector(plus))
-    assert np.allclose(out.rho_eve[1], linalg.projector(minus))
+    assert np.allclose(out.rho_eve[0], np.full((2, 2), 0.5))  # |+><+|
+    assert np.allclose(out.rho_eve[1], np.array([[0.5, -0.5], [-0.5, 0.5]]))  # |-><-|
 
 
 def test_sift_degenerate_branch():
@@ -124,6 +123,14 @@ def test_sift_conditional_rows_normalized():
         assert abs(out.p_sift - recombined) <= 1e-12
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_z_projectors_are_the_qubit_projectors_lifted_by_the_identity(d):
+    z = protocol._z_projectors(d)
+    for zz in (0, 1):
+        assert np.array_equal(z[zz], np.kron(np.diag([1 - zz, zz]), np.eye(d)))
+    assert not z.flags.writeable
+
+
 def test_sift_operator_cross_check_random():
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -146,7 +153,7 @@ def test_trivial_v_gives_uniform_alice_bit():
     rng = np.random.default_rng(31)
     for d in (2, 4):
         u = linalg.haar_unitary(2 * d, rng)
-        attack = AttackModel(d, linalg.random_state(d, rng), np.eye(2 * d, dtype=complex), u)
+        attack = AttackModel(d, linalg.haar_unitary(d, rng)[:, 0], np.eye(2 * d, dtype=complex), u)
         out = sift_branch(attack)
         assert abs(out.p_a[0] - 0.5) <= 1e-12
         assert abs(out.p_a[1] - 0.5) <= 1e-12

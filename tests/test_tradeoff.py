@@ -66,7 +66,7 @@ def test_fidelity_bound_dominates_mutual_information():
 
 
 def test_overlap_slack_saturates_for_equal_vectors():
-    phi = linalg.random_state(4, 3)
+    phi = linalg.haar_unitary(4, 3)[:, 0]
     trivial = Povm((np.eye(2),))
     slack = povm_overlap_slack(phi, phi, np.eye(2), trivial)
     assert abs(slack) <= 1e-12
@@ -74,8 +74,8 @@ def test_overlap_slack_saturates_for_equal_vectors():
 
 def test_overlap_slack_orthogonal_vectors():
     d = 2
-    phi0 = linalg.tensor(linalg.basis_state(2, 0), linalg.basis_state(d, 0))
-    phi1 = linalg.tensor(linalg.basis_state(2, 1), linalg.basis_state(d, 1))
+    phi0 = np.kron(linalg.basis_state(2, 0), linalg.basis_state(d, 0))
+    phi1 = np.kron(linalg.basis_state(2, 1), linalg.basis_state(d, 1))
     trivial = Povm((np.eye(d),))
     slack = povm_overlap_slack(phi0, phi1, np.eye(2), trivial)
     # LHS vanishes; slack equals the (nonnegative) right-hand side
