@@ -3,7 +3,7 @@ key-distribution protocol with classical Alice."""
 
 __version__ = "0.1.0"
 
-from .attacks import FAMILIES, named_attack, parameterized_attack, random_attack
+from .attacks import FAMILIES, named_attack, random_attack
 from .eavesdropper import (
     AccessibleInfoResult,
     OptimizerConfig,
@@ -57,7 +57,6 @@ __all__ = [
     "mutual_information",
     "named_attack",
     "operator_norm",
-    "parameterized_attack",
     "povm_from_factors",
     "povm_overlap_slack",
     "proof_chain",

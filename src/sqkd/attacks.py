@@ -111,32 +111,3 @@ def random_attack(d: int, seed) -> AttackModel:
     u = linalg.haar_unitary(2 * d, rng)
     return AttackModel(d, linalg.basis_state(d, 0), v, u)
 
-
-def hermitian_from_params(params: np.ndarray, n: int) -> np.ndarray:
-    """Assemble an n x n Hermitian matrix from n*n real parameters:
-    n diagonal entries followed by (re, im) pairs filling the upper
-    triangle row-major."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != (n * n,):
-        raise ValueError(f"expected {n * n} parameters, got {params.shape}")
-    h = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(h, params[:n])
-    i, j = np.triu_indices(n, 1)
-    h[i, j] = params[n::2] + 1j * params[n + 1::2]
-    h[j, i] = params[n::2] - 1j * params[n + 1::2]
-    return h
-
-
-def parameterized_attack(params, d: int) -> AttackModel:
-    """Attack from a flat real vector: V = exp(i H_V), U = exp(i H_U).
-
-    The vector has length 2*(2d)^2, one Hermitian generator per unitary;
-    omega is fixed to |0> (V absorbs any ancilla preparation).
-    """
-    params = np.asarray(params, dtype=float)
-    n = 2 * d
-    if params.shape != (2 * n * n,):
-        raise ValueError(f"expected {2 * n * n} parameters for d={d}, got shape {params.shape}")
-    h_v = hermitian_from_params(params[: n * n], n)
-    h_u = hermitian_from_params(params[n * n:], n)
-    return AttackModel(d, linalg.basis_state(d, 0), linalg.exp_i_hermitian(h_v), linalg.exp_i_hermitian(h_u))

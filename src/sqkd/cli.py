@@ -1,4 +1,4 @@
-"""Command-line harness: run, sweep, optimize, verify.
+"""Command-line harness: run, sweep, verify.
 
 Exit codes: 0 success / no violation, 1 a bound violation was found,
 2 input error.  Identical (command, flags, seed) invocations produce
@@ -15,20 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attacks import _NAME_WITH_ARG, FAMILIES, NAMES, _check_thetas, named_attack, parameterized_attack
+from .attacks import _NAME_WITH_ARG, FAMILIES, NAMES, _check_thetas, named_attack
 from .eavesdropper import OptimizerConfig, _accessible_information, holevo_bound
 from .povm import basis_povm
 from .protocol import _evaluate, _evaluate_attack, check_attacks
-from .serialize import (
-    attack_to_dict,
-    parse_attack_file,
-    parse_povm_file,
-    povm_to_dict,
-    report_to_dict,
-    write_document,
-)
+from .serialize import parse_attack_file, parse_povm_file, povm_to_dict, report_to_dict, write_document
 from .suites import SUITE_NAMES, run_suite
-from .tradeoff import SLACK_TOL, _assess, _report, tradeoff_bound
+from .tradeoff import SLACK_TOL, _assess, _report
 
 SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
 _CHUNK = 256  # most grid points of a sweep in one stack; bounds the size of the stacks
@@ -97,11 +90,6 @@ def _resolve_povm(source: str, ev, args):
     raise ValueError(f"--povm {source!r} is not 'z', 'x', 'optimize', or an existing file")
 
 
-def _info_interval(found, report) -> list:
-    """The optimizer's information and the Holevo ceiling above it."""
-    return [found.info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)]
-
-
 def cmd_run(args) -> int:
     attack, attack_source = _resolve_attack(args)
     ev = _evaluate_attack(attack)
@@ -121,7 +109,8 @@ def cmd_run(args) -> int:
         doc["optimizer"] = {
             "stop_reasons": found[0].stop_reasons,
             "restart_values": [float(v) for v in found[0].restart_values],
-            "info_interval": _info_interval(found[0], report),
+            # the optimizer's information and the Holevo ceiling above it
+            "info_interval": [found[0].info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)],
         }
     _emit(write_document(doc), args.out)
     return 0 if report.holds else 1
@@ -146,73 +135,6 @@ def cmd_sweep(args) -> int:
                  for row in zip(thetas, ev.p_ctrl, ev.p_sift, info, rhs, gap, ok)]
     _emit(SWEEP_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
     return 0 if holds else 1
-
-
-def cmd_optimize(args) -> int:
-    import scipy
-    from scipy.optimize import minimize
-
-    d = args.ancilla_dim
-    if not 1 <= d <= 6:
-        raise ValueError(f"--ancilla-dim must be in [1, 6], got {d}")
-    if args.objective not in ("max-gap", "max-info"):
-        raise ValueError(f"--objective must be 'max-gap' or 'max-info', got {args.objective!r}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if not np.isfinite(args.epsilon):  # NaN would switch the max-info penalty off and write invalid JSON
-        raise ValueError(f"--epsilon must be finite, got {args.epsilon}")
-    n_params = 2 * (2 * d) ** 2
-    outer_seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
-
-    def score(x, inner_seed: int) -> float:
-        ev = _evaluate_attack(parameterized_attack(x, d))
-        # coarse inner budget during the scan; only the winner gets the full report below
-        cfg = OptimizerConfig(restarts=args.restarts, max_iterations=200, seed=inner_seed)
-        info = _accessible_information(ev, cfg)[0].info
-        p_ctrl, p_sift = float(ev.p_ctrl[0]), float(ev.p_sift[0])
-        if args.objective == "max-gap":
-            return info - tradeoff_bound(p_ctrl, p_sift)
-        return info - 1e3 * max(0.0, p_ctrl + p_sift - args.epsilon)
-
-    best_x, best_score = None, -np.inf
-    restart_stats = []
-    for r, child in enumerate(outer_seeds):
-        rng = np.random.default_rng(child)
-        inner_seed = int(rng.integers(2**31))
-        x0 = np.zeros(n_params) if r == 0 else 0.5 * rng.standard_normal(n_params)
-        res = minimize(
-            lambda x: -score(x, inner_seed),
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 120, "xatol": 1e-3, "fatol": 1e-6, "adaptive": True},
-        )
-        restart_stats.append(-float(res.fun))
-        if -res.fun > best_score:
-            best_x, best_score = res.x, -float(res.fun)
-
-    best_attack = parameterized_attack(best_x, d)
-    ev = _evaluate_attack(best_attack)
-    final = _accessible_information(ev, OptimizerConfig(restarts=max(8, args.restarts), seed=args.seed))[0]
-    report = _report(ev, final.povm)
-    doc = {
-        "command": "optimize",
-        "versions": {**_versions(), "scipy": scipy.__version__},
-        "seed": args.seed,
-        "objective": args.objective,
-        "epsilon": args.epsilon,
-        "ancilla_dim": d,
-        "trials": args.trials,
-        "restarts": args.restarts,
-        "best_objective": best_score,
-        "restart_objectives": restart_stats,
-        "info_rhs_ratio": report.info / report.rhs if report.rhs > 1e-15 else 0.0,
-        "info_interval": _info_interval(final, report),
-        "attack": attack_to_dict(best_attack),
-        "povm": povm_to_dict(final.povm),
-        "report": report_to_dict(report),
-    }
-    _emit(write_document(doc), args.out)
-    return 0 if report.holds else 1
 
 
 def cmd_verify(args) -> int:
@@ -253,15 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--restarts", type=int, default=8, help=RESTARTS_HELP)
     common(p_sweep)
 
-    p_opt = sub.add_parser("optimize", help="search attack space for the worst case")
-    p_opt.add_argument("--ancilla-dim", type=int, default=2, help="Eve's ancilla dimension")
-    p_opt.add_argument("--objective", default="max-gap", help="'max-gap' or 'max-info'")
-    p_opt.add_argument("--epsilon", type=float, default=0.05,
-                       help="disturbance budget for max-info (p_ctrl + p_sift <= epsilon)")
-    p_opt.add_argument("--trials", type=int, default=8, help="attack-space restarts")
-    p_opt.add_argument("--restarts", type=int, default=4, help="POVM optimizer starts per scored attack (as for run)")
-    common(p_opt)
-
     p_verify = sub.add_parser("verify", help="run a seeded randomized verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--trials", type=int, default=1000, help="number of random instances")
@@ -272,10 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"run": cmd_run, "sweep": cmd_sweep, "optimize": cmd_optimize, "verify": cmd_verify}
+    handlers = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}
     try:
         if args.seed < 0:  # every subcommand has --seed
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "restarts", 1) < 1:  # run and sweep
+            raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
+        if getattr(args, "trials", 1) < 1:  # verify
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

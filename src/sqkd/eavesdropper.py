@@ -49,6 +49,7 @@ from .protocol import AttackModel, _evaluate_attack, _Evaluation, _joint_table
 FLAT_GAIN = 1e-12  # bits: a kept step that gains less ends the start
 MIN_STEP = 1e-12  # eps below this ends the start
 SINGULAR_TOL = 1e-6  # Lambda is near-singular below this eigenvalue ratio
+MAX_ITERATIONS = 2000  # steps tried from each start, kept or not
 _STOP_REASONS = ("iterations", "flat", "step")
 
 
@@ -57,15 +58,14 @@ class OptimizerConfig:
     """Knobs for the POVM search.
 
     restarts counts the starts (the eigenbasis start, the computational
-    basis, then random POVMs seeded from `seed`), and max_iterations
-    bounds the steps tried from each start, kept or not; each start runs
-    the momentum ascent of the module docstring.  The POVM has
+    basis, then random POVMs seeded from `seed`); each start runs the
+    momentum ascent of the module docstring for at most MAX_ITERATIONS
+    steps, kept or not.  The POVM has
     m = max(2, d^2) rank-one outcomes, enough for the accessible
     information of an ensemble in dimension d.
     """
 
     restarts: int = 32
-    max_iterations: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -83,7 +83,7 @@ class AccessibleInfoResult:
     restart_values[k] is the information start k ended at and
     stop_reasons[k] why it ended: "flat" (a kept step gained less than
     1e-12 bits), "step" (eps fell below 1e-12) or "iterations"
-    (max_iterations steps tried); steps[k] counts the steps it tried.
+    (MAX_ITERATIONS steps tried); steps[k] counts the steps it tried.
     """
 
     info: float
@@ -184,7 +184,7 @@ def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None)
     n, r, d = len(ev.p_a), cfg.restarts, ev.rho_eve.shape[-1]
     tau = ev.p_a[..., None, None] * ev.rho_eve
     starts = _starts(tau, max(2, d * d), cfg).reshape(n * r, d, -1)
-    v, info, stop_reasons, steps = _ascend(np.repeat(tau, r, axis=0), starts, cfg.max_iterations)
+    v, info, stop_reasons, steps = _ascend(np.repeat(tau, r, axis=0), starts, MAX_ITERATIONS)
     info, steps = info.reshape(n, r), steps.reshape(n, r)
     # argmax takes the lower start on ties
     elements = rank_one_elements(v.reshape(n, r, d, -1)[np.arange(n), np.argmax(info, axis=1)])

@@ -45,12 +45,6 @@ def operator_norm(m: np.ndarray):
     return float(norm) if norm.ndim == 0 else norm
 
 
-def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
-    """The unitary exp(i h) of a Hermitian h, from its eigendecomposition."""
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(1j * w)) @ dagger(q)
-
-
 def ginibre(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """`count` complex Gaussian dim x dim matrices, shape (count, dim, dim).
 

@@ -102,7 +102,7 @@ def write_document(doc: dict, path=None) -> str:
 
 
 def report_to_dict(report) -> dict:
-    """The "report" section of a run/optimize document: both sides of the bound,
+    """The "report" section of a run document: both sides of the bound,
     Alice's outcome distribution p_a, the joint table and the derivation trace."""
     trace = report.trace
     return {

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
+import sqkd
 from sqkd import linalg
-from sqkd.attacks import (
-    FAMILIES,
-    family_stack,
-    hermitian_from_params,
-    named_attack,
-    parameterized_attack,
-    random_attack,
-)
+from sqkd.attacks import FAMILIES, family_stack, named_attack, random_attack
 from sqkd.protocol import ctrl_error, sift_branch
 
 
@@ -137,61 +130,8 @@ def test_random_attack_d1_probability_ranges():
         assert 0.0 <= sift_branch(attack).p_sift <= 1.0
 
 
-def test_hermitian_from_params_roundtrip():
-    rng = np.random.default_rng(4)
-    params = rng.standard_normal(16)
-    h = hermitian_from_params(params, 4)
-    assert np.max(np.abs(h - h.conj().T)) == 0.0
-    assert np.allclose(np.diag(h).real, params[:4])
-
-
-def hermitian_by_entries(params: np.ndarray, n: int) -> np.ndarray:
-    """hermitian_from_params entry by entry: the reference for its triangle-index form."""
-    h = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(h, params[:n])
-    idx = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = params[idx] + 1j * params[idx + 1]
-            h[j, i] = params[idx] - 1j * params[idx + 1]
-            idx += 2
-    return h
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8])
-def test_hermitian_from_params_matches_the_entry_loop(n):
-    params = np.random.default_rng(n).standard_normal(n * n)
-    params[n::3] = -0.0  # the signs of zeros must match too
-    h = hermitian_from_params(params, n)
-    assert np.array_equal(h.view(np.int64), hermitian_by_entries(params, n).view(np.int64))
-
-
-def test_parameterized_zero_vector_is_identity_attack():
-    attack = parameterized_attack(np.zeros(32), 2)
-    assert np.allclose(attack.v, np.eye(4))
-    assert np.allclose(attack.u, np.eye(4))
-    assert ctrl_error(attack) <= 1e-12
-
-
-def test_parameterized_matches_matrix_exponential_oracle():
-    # a (pi/2) sigma_x-type block in H_V must reproduce exp(i pi/2 sigma_x)
-    params = np.zeros(32)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = np.pi / 2
-    # upper-triangle (0,1) pair sits right after the 4 diagonal entries
-    params[4] = np.pi / 2
-    attack = parameterized_attack(params, 2)
-    assert np.max(np.abs(attack.v - expm(1j * h))) <= 1e-12
-
-
-def test_parameterized_outputs_are_unitary():
-    rng = np.random.default_rng(6)
-    for d in (1, 2, 3):
-        params = rng.standard_normal(2 * (2 * d) ** 2)
-        attack = parameterized_attack(params, d)
-        attack.validate()
-
-
-def test_parameterized_wrong_length():
-    with pytest.raises(ValueError, match="parameters"):
-        parameterized_attack(np.zeros(31), 2)
+def test_the_generator_parameterization_is_gone():
+    # the attack space is no longer searched through Hermitian generators
+    assert "parameterized_attack" not in sqkd.__all__  # test_linalg checks that every exported name exists
+    assert not hasattr(sqkd.attacks, "hermitian_from_params")
+    assert not hasattr(linalg, "exp_i_hermitian")

@@ -9,15 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from sqkd import linalg, protocol
 from sqkd.attacks import FAMILIES, named_attack, random_attack
-from sqkd.cli import SWEEP_HEADER, _fmt, main
+from sqkd.cli import SWEEP_HEADER, _fmt, build_parser, main
 from sqkd.eavesdropper import OptimizerConfig, accessible_information
 from sqkd.povm import basis_povm, random_povm
 from sqkd.serialize import (
-    attack_from_dict,
     attack_to_dict,
     povm_from_dict,
     povm_to_dict,
@@ -41,6 +39,19 @@ def run_python(*args, **kwargs):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def record_evaluations(monkeypatch) -> list:
+    """The stack size of every kernel evaluation, in order, also of those
+    through the `_evaluate` that cli imported by name."""
+    from sqkd import cli
+
+    stacks = []
+    evaluate = protocol._evaluate
+    counted = lambda *a: stacks.append(len(a[0])) or evaluate(*a)
+    monkeypatch.setattr(protocol, "_evaluate", counted)
+    monkeypatch.setattr(cli, "_evaluate", counted)
+    return stacks
 
 
 def roundtrip(report) -> dict:
@@ -274,13 +285,7 @@ def test_sweep_validates_each_chunk_once(capsys, monkeypatch):
 
 
 def test_sweep_optimize_solves_on_the_chunk_evaluation(capsys, monkeypatch):
-    from sqkd import cli
-
-    stacks = []
-    evaluate = protocol._evaluate
-    counted = lambda *a: stacks.append(len(a[0])) or evaluate(*a)
-    monkeypatch.setattr(protocol, "_evaluate", counted)
-    monkeypatch.setattr(cli, "_evaluate", counted)
+    stacks = record_evaluations(monkeypatch)
     argv = ["sweep", "--family", "partial-return-cz", "--povm", "optimize", "--restarts", "3"]
     code, out, _ = run_cli(capsys, *argv, "--param", "theta=0:1.5707963:9")
     assert code == 0
@@ -294,13 +299,10 @@ def test_sweep_optimize_solves_on_the_chunk_evaluation(capsys, monkeypatch):
 
 
 def test_sweep_optimize_runs_one_ascent_per_chunk(capsys, monkeypatch):
-    from sqkd import cli, eavesdropper
+    from sqkd import eavesdropper
 
-    stacks, starts = [], []
-    evaluate, ascend = protocol._evaluate, eavesdropper._ascend
-    counted = lambda *a: stacks.append(len(a[0])) or evaluate(*a)
-    monkeypatch.setattr(protocol, "_evaluate", counted)
-    monkeypatch.setattr(cli, "_evaluate", counted)
+    stacks, starts = record_evaluations(monkeypatch), []
+    ascend = eavesdropper._ascend
     monkeypatch.setattr(eavesdropper, "_ascend", lambda tau, v, k: starts.append(len(v)) or ascend(tau, v, k))
     argv = ["sweep", "--family", "partial-forward-cnot", "--povm", "optimize", "--restarts", "2"]
     code, out, _ = run_cli(capsys, *argv, "--param", "theta=0:1.5707963:300")
@@ -423,47 +425,6 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
-def test_optimize_rejects_zero_trials(capsys):
-    code, _, err = run_cli(capsys, "optimize", "--trials", "0")
-    assert code == 2
-    assert "--trials" in err
-
-
-def test_optimize_small_budget(capsys, tmp_path, monkeypatch):
-    # the attack-space search scores candidates without the full report;
-    # only the winner is verified
-    from sqkd import cli
-
-    reports = []
-    report = cli._report
-    monkeypatch.setattr(cli, "_report", lambda *a: reports.append(a) or report(*a))
-    out_path = tmp_path / "opt.json"
-    code, _, _ = run_cli(
-        capsys, "optimize", "--trials", "1", "--restarts", "1", "--seed", "5",
-        "--out", str(out_path),
-    )
-    assert code == 0
-    doc = json.loads(out_path.read_text())
-    expected = verify_tradeoff(attack_from_dict(doc["attack"]), povm_from_dict(doc["povm"]))
-    assert doc["report"] == roundtrip(expected)
-    assert doc["report"]["holds"] is True
-    assert doc["versions"]["scipy"] == scipy.__version__
-    assert len(doc["restart_objectives"]) == 1
-    assert len(reports) == 1
-
-
-def test_optimize_max_info_objective(capsys, tmp_path):
-    out_path = tmp_path / "opt.json"
-    code, _, _ = run_cli(
-        capsys, "optimize", "--objective", "max-info", "--epsilon", "0.02",
-        "--trials", "1", "--restarts", "1", "--seed", "7", "--out", str(out_path),
-    )
-    assert code == 0
-    doc = json.loads(out_path.read_text())
-    assert doc["objective"] == "max-info"
-    assert doc["report"]["holds"] is True
-
-
 def test_verify_exit_one_on_violation(capsys, monkeypatch):
     # the suites themselves never fail honestly; force the counting path
     from sqkd import cli
@@ -500,6 +461,28 @@ def test_cli_import_loads_no_scipy_submodules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_subcommands_are_run_sweep_and_verify(capsys):
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["run", "sweep", "verify"]
+    with pytest.raises(SystemExit, match="2"):
+        main(["optimize"])
+    assert "invalid choice: 'optimize'" in capsys.readouterr().err
+
+
+def test_every_command_runs_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from sqkd.cli import main\n"
+        "for argv in (['run', '--attack', 'return-cz', '--povm', 'optimize', '--restarts', '2'],\n"
+        "             ['sweep', '--family', 'partial-return-cz', '--param', 'theta=0:1:5', '--povm', 'optimize',\n"
+        "              '--restarts', '2'],\n"
+        "             ['verify', '--suite', 'proof-chain', '--trials', '50']):\n"
+        "    print(main(argv), file=sys.stderr)\n"
+    )
+    proc = run_python("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "0\n0\n0\n")
+
+
 def test_unknown_suite_rejected():
     proc = run_python("-m", "sqkd.cli", "verify", "--suite", "nonsense")
     assert proc.returncode == 2
@@ -509,12 +492,9 @@ def test_unknown_suite_rejected():
     ["run", "--attack", "forward-cnot", "--povm", "optimize", "--seed", "-1"],
     ["sweep", "--family", "partial-return-cz", "--param", "theta=0:1:3", "--povm", "optimize", "--seed", "-2"],
     ["verify", "--suite", "lemma2", "--seed", "-1"],
-    ["optimize", "--seed", "-1"],
 ])
 def test_negative_seed_is_rejected_before_any_evaluation(capsys, monkeypatch, argv):
-    calls = []
-    evaluate = protocol._evaluate
-    monkeypatch.setattr(protocol, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    calls = record_evaluations(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -522,14 +502,18 @@ def test_negative_seed_is_rejected_before_any_evaluation(capsys, monkeypatch, ar
     assert calls == []
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
-def test_non_finite_epsilon_is_rejected_before_the_search(capsys, monkeypatch, epsilon):
-    calls = []
-    evaluate = protocol._evaluate
-    monkeypatch.setattr(protocol, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
-    code, out, err = run_cli(capsys, "optimize", "--objective", "max-info", f"--epsilon={epsilon}")
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--attack", "forward-cnot", "--povm", "z", "--restarts", "-3"], "--restarts"),
+    (["run", "--attack", "forward-cnot", "--povm", "optimize", "--restarts", "0"], "--restarts"),
+    (["sweep", "--family", "partial-return-cz", "--param", "theta=0:1:3", "--povm", "optimize",
+      "--restarts", "0"], "--restarts"),
+    (["verify", "--suite", "lemma2", "--trials", "-1"], "--trials"),
+])
+def test_counts_below_one_are_rejected_by_flag_before_any_evaluation(capsys, monkeypatch, argv, flag):
+    calls = record_evaluations(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: --epsilon must be finite, got {float(epsilon)}\n"
+    assert err == f"error: {flag} must be >= 1, got {argv[-1]}\n"
     assert calls == []
 
 

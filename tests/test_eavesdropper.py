@@ -186,15 +186,16 @@ def test_accessible_information_between_helstrom_and_holevo(case):
     assert set(result.stop_reasons) <= STOP_REASONS
 
 
-def test_accessible_information_never_drops_along_a_start():
+def test_accessible_information_never_drops_along_a_start(monkeypatch):
     # the run capped at k steps is the first k steps of every longer run; on
     # random_attack(4, 1) the caps span rejected extrapolations (momentum restarts)
+    def capped(attack, k):
+        monkeypatch.setattr(eavesdropper, "MAX_ITERATIONS", k)
+        return accessible_information(attack, OptimizerConfig(restarts=3, seed=4)).restart_values
+
     for case, caps in (((3, 5), range(40)), ((4, 1), range(0, 300, 10))):
         attack = random_attack(*case)
-        trajectories = np.array([
-            accessible_information(attack, OptimizerConfig(restarts=3, seed=4, max_iterations=k)).restart_values
-            for k in caps
-        ])
+        trajectories = np.array([capped(attack, k) for k in caps])
         assert np.all(np.diff(trajectories, axis=0) >= 0.0)
         assert np.all(trajectories[-1] > trajectories[0])
 
@@ -212,12 +213,13 @@ def test_every_start_converges_on_the_search_instances(case):
         assert result.stop_reasons == ["flat"] * 8
 
 
-def test_accessible_information_stop_reasons():
-    capped = accessible_information(random_attack(3, 5), OptimizerConfig(restarts=4, max_iterations=1))
-    assert capped.stop_reasons == ["iterations"] * 4
+def test_accessible_information_stop_reasons(monkeypatch):
     # orthogonal conditional states: every start is at 1 bit after its first step
     flat = accessible_information(named_attack("forward-cnot"), OptimizerConfig(restarts=3))
     assert flat.stop_reasons == ["flat"] * 3
+    monkeypatch.setattr(eavesdropper, "MAX_ITERATIONS", 1)
+    capped = accessible_information(random_attack(3, 5), OptimizerConfig(restarts=4))
+    assert capped.stop_reasons == ["iterations"] * 4
 
 
 def degenerate_sift_attack():
@@ -316,7 +318,7 @@ def per_start_solve(attack, cfg):
     """(restart_values, stop_reasons, steps, best POVM elements) of the per-start loop."""
     tau = eve_ensemble(attack)
     m = max(2, attack.ancilla_dim ** 2)
-    runs = [per_start_ascend(tau, v0, cfg.max_iterations) for v0 in _starts(tau[None], m, cfg)[0]]
+    runs = [per_start_ascend(tau, v0, eavesdropper.MAX_ITERATIONS) for v0 in _starts(tau[None], m, cfg)[0]]
     best = max(range(len(runs)), key=lambda k: (runs[k][1], -k))
     elements = np.stack([np.outer(v, v.conj()) for v in runs[best][0].T])
     return [r[1] for r in runs], [r[2] for r in runs], [r[3] for r in runs], elements
@@ -375,14 +377,14 @@ def test_all_starts_share_one_completion_per_step(monkeypatch):
     monkeypatch.setattr(eavesdropper, "_completed", counting)
     cfg = OptimizerConfig(restarts=8, seed=0)
     accessible_information(random_attack(4, 1), cfg)
-    assert len(calls) <= cfg.max_iterations + 1
+    assert len(calls) <= eavesdropper.MAX_ITERATIONS + 1
     assert calls[0] == 8  # every start is in the first stack
 
 
 @pytest.mark.parametrize("max_iterations", [0, 1, 40, 2000])
-def test_steps_reach_the_cap_exactly_when_a_start_stops_on_iterations(max_iterations):
-    cfg = OptimizerConfig(restarts=8, seed=0, max_iterations=max_iterations)
-    result = accessible_information(random_attack(4, 1), cfg)
+def test_steps_reach_the_cap_exactly_when_a_start_stops_on_iterations(monkeypatch, max_iterations):
+    monkeypatch.setattr(eavesdropper, "MAX_ITERATIONS", max_iterations)
+    result = accessible_information(random_attack(4, 1), OptimizerConfig(restarts=8, seed=0))
     assert len(result.steps) == len(result.stop_reasons) == 8
     for reason, steps in zip(result.stop_reasons, result.steps):
         assert (reason == "iterations") == (steps == max_iterations)
