@@ -120,6 +120,8 @@ def cmd_sweep(args) -> int:
     start, stop, count = _family_theta(args, "start:stop:count", float, float, int)
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
+    if not np.isfinite([start, stop]).all():  # name the end, not the NaN linspace would make of it
+        _check_thetas([start, stop])
     grid = _check_thetas(np.linspace(start, stop, count))  # the whole grid, before any point is evaluated
     rows, holds = [], True
     for first in range(0, count, _CHUNK):

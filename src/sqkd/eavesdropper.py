@@ -28,13 +28,15 @@ if it was plain, eps halves.  eps starts at 1 and never grows, and every
 kept step is a POVM that does not lower the information.  The R starts
 of every ensemble of an evaluated stack of N attacks advance together as
 one stack of N R vector sets (N R, d, m), each on its own ensemble and
-with its own eps, beta, run and stop rule; a start leaves the stack when
-it stops.  Start 0 is the eigenbasis of tau_0 - tau_1, which refines the
-Helstrom measurement, so the result never falls below the Helstrom
-information.  Start 1 is the computational basis, the others are seeded
-random POVMs, the same for every ensemble.  Every iterate is a valid
-POVM, so the reported information is achieved: a lower bound on the
-accessible information, with the Holevo quantity as the ceiling above it.
+with its own eps, beta, run and stop rule.  The state of the live starts
+is held packed, so each step works on whole arrays; a start that stops
+leaves the stack and costs nothing after.  Start 0 is the eigenbasis of
+tau_0 - tau_1, which refines the Helstrom measurement, so the result
+never falls below the Helstrom information.  Start 1 is the
+computational basis, the others are seeded random POVMs, the same for
+every ensemble.  Every iterate is a valid POVM, so the reported
+information is achieved: a lower bound on the accessible information,
+with the Holevo quantity as the ceiling above it.
 """
 
 from dataclasses import dataclass, field
@@ -97,7 +99,7 @@ def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """I(A:E) in bits of each POVM of the stack v (R, d, m; vectors as columns)
     on its own ensemble tau (R, 2, d, d), and G_e v_e (columns) for each."""
     tv = tau @ v[:, None]  # tau_z v_e, (R, 2, d, m)
-    table = np.clip(np.einsum("rie,rzie->rze", v.conj(), tv).real, 0.0, None)
+    table = np.maximum(np.einsum("rie,rzie->rze", v.conj(), tv).real, 0.0)
     marginals = table.sum(axis=-1, keepdims=True) * table.sum(axis=-2, keepdims=True)
     # where p(z, e) vanishes so does tau_z v_e (tau_z >= 0), and its term with it
     ratio = np.ones_like(table)
@@ -121,46 +123,51 @@ def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.nda
     stack v (R, d, m) at once, start r on the ensemble tau[r] (R, 2, d, d).
 
     Each start keeps its own eps, momentum beta, run of kept steps and stop
-    rule, and leaves the live stack when it stops.  Returns the last kept
-    vectors, their information, the stop reasons and the steps each start
-    tried."""
-    v = np.array(v, dtype=complex)
-    v_prev = v.copy()
+    rule.  The state of the live starts is held packed, in stack order, with
+    `ids` their places in the input; a start that stops writes its result
+    out once and leaves every packed array.  Returns the last kept vectors,
+    their information, the stop reasons and the steps each start tried."""
+    v = np.asarray(v, dtype=complex)
+    out_v, out_info = np.empty_like(v), np.empty(len(v))
+    stop = np.zeros(len(v), dtype=int)  # index into _STOP_REASONS; 0 until a start stops
+    steps = np.full(len(v), max_iterations)  # a start that never stops tries every step
+    ids = np.arange(len(v))
     info, grad = _objective(tau, v)
+    v_prev = v
     eps = np.ones(len(v))
     beta = np.zeros(len(v))
     run = np.zeros(len(v), dtype=int)  # consecutive kept steps
-    steps = np.zeros(len(v), dtype=int)
-    stop = np.zeros(len(v), dtype=int)  # index into _STOP_REASONS; 0 while live
-    live = np.arange(len(v))
-    tau_live = tau  # tau[live], gathered again only when a start stops
-    for _ in range(max_iterations):
-        if not live.size:
+    for step in range(1, max_iterations + 1):
+        if not ids.size:
             break
-        steps[live] += 1
-        x = v[live]
-        w = x + eps[live, None, None] * grad[live] + beta[live, None, None] * (x - v_prev[live])
+        w = v + eps[:, None, None] * grad + beta[:, None, None] * (v - v_prev)
         trial, ok = _completed(w)
-        completed = slice(None) if ok.all() else ok
-        trial_info, trial_grad = _objective(tau_live[completed], trial)
-        up = trial_info >= info[live[completed]]
-        is_kept = ok.copy()
-        is_kept[ok] = up
-        kept, rejected = live[is_kept], live[~is_kept]
-        gain = trial_info[up] - info[kept]
-        v_prev[kept] = v[kept]
-        v[kept], info[kept], grad[kept] = trial[up], trial_info[up], trial_grad[up]
-        run[kept] += 1
-        beta[kept] = np.minimum(0.99, (run[kept] - 1) / (run[kept] + 2))
-        plain = rejected[beta[rejected] == 0.0]  # a rejected extrapolation retries as a plain step
-        eps[plain] /= 2.0
-        beta[rejected], run[rejected] = 0.0, 0
-        stop[kept[gain < FLAT_GAIN]] = 1
-        stop[plain[eps[plain] < MIN_STEP]] = 2
-        still = stop[live] == 0
-        if not still.all():
-            live, tau_live = live[still], tau_live[still]
-    return v, info, [_STOP_REASONS[k] for k in stop], steps
+        if ok.all():
+            trial_info, trial_grad = _objective(tau, trial)
+        else:  # a near-singular Lambda gets information -inf, so its step is rejected
+            trial_info, trial_grad, full = np.full(len(v), -np.inf), np.zeros_like(grad), np.zeros_like(v)
+            trial_info[ok], trial_grad[ok] = _objective(tau[ok], trial)
+            full[ok] = trial
+            trial = full
+        kept = trial_info >= info
+        flat = kept & (trial_info - info < FLAT_GAIN)
+        plain = ~kept & (beta == 0.0)  # a rejected extrapolation retries as a plain step
+        run = np.where(kept, run + 1, 0)
+        beta = np.where(kept, np.minimum(0.99, (run - 1) / (run + 2)), 0.0)
+        eps = np.where(plain, eps / 2.0, eps)
+        k = kept[:, None, None]
+        v_prev, v, grad = np.where(k, v, v_prev), np.where(k, trial, v), np.where(k, trial_grad, grad)
+        info = np.where(kept, trial_info, info)
+        done = flat | (plain & (eps < MIN_STEP))
+        if done.any():
+            gone = ids[done]
+            out_v[gone], out_info[gone], steps[gone] = v[done], info[done], step
+            stop[gone] = np.where(flat[done], 1, 2)
+            live = ~done
+            ids, tau, v, v_prev, grad, info, eps, beta, run = (
+                a[live] for a in (ids, tau, v, v_prev, grad, info, eps, beta, run))
+    out_v[ids], out_info[ids] = v, info
+    return out_v, out_info, [_STOP_REASONS[k] for k in stop], steps
 
 
 def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> np.ndarray:

@@ -337,6 +337,14 @@ def test_sweep_checks_the_whole_grid_before_the_first_chunk(capsys, monkeypatch)
     assert calls == []
 
 
+@pytest.mark.parametrize("grid, theta", [("0:inf:3", "inf"), ("-inf:1:3", "-inf"), ("2:inf:3", "2.0")])
+def test_sweep_names_a_non_finite_grid_end_before_any_evaluation(capsys, monkeypatch, grid, theta):
+    stacks = record_evaluations(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", "--family", "partial-return-cz", "--param", f"theta={grid}")
+    assert (code, out, err) == (2, "", f"error: theta {theta} outside [0, pi/2]\n")
+    assert stacks == []
+
+
 def test_sweep_exit_one_when_the_bound_fails(capsys, monkeypatch):
     from sqkd import tradeoff
 

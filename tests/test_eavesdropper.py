@@ -362,23 +362,31 @@ def test_stacked_ascent_rejects_a_near_singular_step_while_others_go_on(monkeypa
         return trial, ok
 
     monkeypatch.setattr(eavesdropper, "_completed", recording)
-    assert_matches_per_start(random_attack(3, 5), OptimizerConfig(restarts=8, seed=0))
+    with np.errstate(all="raise"):
+        assert_matches_per_start(random_attack(3, 5), OptimizerConfig(restarts=8, seed=0))
     assert any(not ok.all() and ok.any() for ok in masks)
 
 
 def test_all_starts_share_one_completion_per_step(monkeypatch):
-    calls = []
-    completed = eavesdropper._completed
+    calls, objectives = [], []
+    completed, objective = eavesdropper._completed, eavesdropper._objective
 
     def counting(w):
         calls.append(len(w))
         return completed(w)
 
     monkeypatch.setattr(eavesdropper, "_completed", counting)
+    monkeypatch.setattr(eavesdropper, "_objective", lambda tau, v: objectives.append(len(v)) or objective(tau, v))
     cfg = OptimizerConfig(restarts=8, seed=0)
-    accessible_information(random_attack(4, 1), cfg)
+    steps = np.array(accessible_information(random_attack(4, 1), cfg).steps)
     assert len(calls) <= eavesdropper.MAX_ITERATIONS + 1
     assert calls[0] == 8  # every start is in the first stack
+    # a stopped start leaves the stack: step t (from 1) completes exactly
+    # the starts that had not stopped by step t - 1, and no other
+    assert np.all(np.diff(calls) <= 0)
+    assert calls == [int((steps > t - 1).sum()) for t in range(1, len(calls) + 1)]
+    assert len(calls) == steps.max()
+    assert len(objectives) == steps.max() + 1  # the starts, then one evaluation per step
 
 
 @pytest.mark.parametrize("max_iterations", [0, 1, 40, 2000])
