@@ -110,46 +110,44 @@ def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _completed(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda^{-1/2} w with Lambda = w w^dag for each w of the stack where
-    Lambda is not near-singular, and the mask of those w."""
+    """Lambda^{-1/2} w with Lambda = w w^dag for every w of the stack, and the
+    mask of the w whose Lambda is not near-singular.  Where it is, the row
+    comes back as w itself (finite, not complete) for the caller to reject."""
     lam, q = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
     ok = lam[:, 0] > SINGULAR_TOL * lam[:, -1]
-    lam, q = lam[ok], q[ok]
-    return (q / np.sqrt(lam)[:, None, :]) @ (q.conj().swapaxes(-1, -2) @ w[ok]), ok
+    lam = np.where(ok[:, None], lam, 1.0)
+    return (q / np.sqrt(lam)[:, None, :]) @ (q.conj().swapaxes(-1, -2) @ w), ok
 
 
-def _ascend(tau: np.ndarray, v: np.ndarray, max_iterations: int) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+def _ascend(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Monotone ascent with adaptive-restart momentum from every start of the
-    stack v (R, d, m) at once, start r on the ensemble tau[r] (R, 2, d, d).
+    stack v (R, d, m) at once, start r on the ensemble tau[r] (R, 2, d, d),
+    for at most the module constant MAX_ITERATIONS steps, read at each call.
 
     Each start keeps its own eps, momentum beta, run of kept steps and stop
     rule.  The state of the live starts is held packed, in stack order, with
     `ids` their places in the input; a start that stops writes its result
-    out once and leaves every packed array.  Returns the last kept vectors,
-    their information, the stop reasons and the steps each start tried."""
+    out once and leaves every packed array.  Each step completes and
+    evaluates the whole live stack once; a near-singular Lambda is rejected
+    by its mask.  Returns the last kept vectors, their information, the
+    stop reasons and the steps each start tried."""
     v = np.asarray(v, dtype=complex)
     out_v, out_info = np.empty_like(v), np.empty(len(v))
     stop = np.zeros(len(v), dtype=int)  # index into _STOP_REASONS; 0 until a start stops
-    steps = np.full(len(v), max_iterations)  # a start that never stops tries every step
+    steps = np.full(len(v), MAX_ITERATIONS)  # a start that never stops tries every step
     ids = np.arange(len(v))
     info, grad = _objective(tau, v)
     v_prev = v
     eps = np.ones(len(v))
     beta = np.zeros(len(v))
     run = np.zeros(len(v), dtype=int)  # consecutive kept steps
-    for step in range(1, max_iterations + 1):
+    for step in range(1, MAX_ITERATIONS + 1):
         if not ids.size:
             break
         w = v + eps[:, None, None] * grad + beta[:, None, None] * (v - v_prev)
         trial, ok = _completed(w)
-        if ok.all():
-            trial_info, trial_grad = _objective(tau, trial)
-        else:  # a near-singular Lambda gets information -inf, so its step is rejected
-            trial_info, trial_grad, full = np.full(len(v), -np.inf), np.zeros_like(grad), np.zeros_like(v)
-            trial_info[ok], trial_grad[ok] = _objective(tau[ok], trial)
-            full[ok] = trial
-            trial = full
-        kept = trial_info >= info
+        trial_info, trial_grad = _objective(tau, trial)
+        kept = ok & (trial_info >= info)
         flat = kept & (trial_info - info < FLAT_GAIN)
         plain = ~kept & (beta == 0.0)  # a rejected extrapolation retries as a plain step
         run = np.where(kept, run + 1, 0)
@@ -175,13 +173,13 @@ def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> np.ndarray:
     the eigenbasis of tau_0 - tau_1 and the computational basis, each padded
     with zero vectors, then random POVMs drawn once and shared by all N."""
     n, _, d, _ = tau.shape
-    starts = np.zeros((n, max(2, cfg.restarts), d, m), dtype=complex)
+    starts = np.zeros((n, cfg.restarts, d, m), dtype=complex)
     starts[:, 0, :, :d] = np.linalg.eigh(tau[:, 0] - tau[:, 1])[1]
-    starts[:, 1, :, :d] = np.eye(d)
+    starts[:, 1:2, :, :d] = np.eye(d)
     for r, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[2:], 2):
         # d rows of a Haar unitary on C^m: a uniformly random rank-one POVM
         starts[:, r] = linalg.haar_unitary(m, child)[:d]
-    return starts[:, : cfg.restarts]
+    return starts
 
 
 def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None) -> list[AccessibleInfoResult]:
@@ -191,7 +189,7 @@ def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None)
     n, r, d = len(ev.p_a), cfg.restarts, ev.rho_eve.shape[-1]
     tau = ev.p_a[..., None, None] * ev.rho_eve
     starts = _starts(tau, max(2, d * d), cfg).reshape(n * r, d, -1)
-    v, info, stop_reasons, steps = _ascend(np.repeat(tau, r, axis=0), starts, MAX_ITERATIONS)
+    v, info, stop_reasons, steps = _ascend(np.repeat(tau, r, axis=0), starts)
     info, steps = info.reshape(n, r), steps.reshape(n, r)
     # argmax takes the lower start on ties
     elements = rank_one_elements(v.reshape(n, r, d, -1)[np.arange(n), np.argmax(info, axis=1)])

@@ -118,15 +118,16 @@ def is_positive(m: np.ndarray):
     return _flags(hermitian & (lowest >= -TOL_POSITIVE))
 
 
-def clamp_probability(x):
+def clamp_probability(x, name: str = "value"):
     """Clamp a numerically noisy probability, or an array of them, into [0, 1].
 
     Values within 1e-12 outside the interval are snapped to the boundary;
-    anything further out, and NaN, raises.  A scalar comes back as a float.
+    anything further out, and NaN, raises, naming the value as `name`.
+    A scalar comes back as a float.
     """
     p = np.asarray(x, dtype=float)
     if not (p.min() >= -NEG_PROB_TOL and p.max() <= 1.0 + NEG_PROB_TOL):  # NaN fails too
         bad = p[~((p >= -NEG_PROB_TOL) & (p <= 1.0 + NEG_PROB_TOL))]
-        raise ValueError(f"value {float(bad[0])!r} is not a probability up to tolerance {NEG_PROB_TOL}")
+        raise ValueError(f"{name} {float(bad[0])!r} is not a probability up to tolerance {NEG_PROB_TOL}")
     p = np.minimum(np.maximum(p, 0.0), 1.0)
     return float(p) if p.ndim == 0 else p

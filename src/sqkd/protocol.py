@@ -130,28 +130,34 @@ def _evaluate(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> _Evaluation:
 
     Eve's states and Bob's table come from the qubit blocks b_q of
     U Z_z psi: rho_eve[z] = sum_q b_q b_q^dag / p_a(z) and
-    p(z_B | z) = ||b_{z_B}||^2 / p_a(z).
+    p(z_B | z) = ||b_{z_B}||^2 / p_a(z).  A probability that fails its
+    clamp (a V or U accepted as unitary can still push one past 1 + 1e-12)
+    raises naming it and the largest deviation of V^dag V and U^dag U from 1.
     """
     n, d = omega.shape
     psi = _prepared_states(omega, v)
     w = (u @ psi[..., None])[..., 0].reshape(n, 2, d)
-    # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
-    p_ctrl = linalg.clamp_probability(_sq_norms(w[:, 0] - w[:, 1]) / 2.0)
-
     halves = psi.reshape(n, 2, d)
-    p_a = linalg.clamp_probability(_sq_norms(halves))
     # U Z_z psi = U restricted to the columns of qubit block z, applied to block z of psi
     branches = np.stack(
         [(u[:, :, z * d:(z + 1) * d] @ halves[:, z, :, None])[..., 0] for z in (0, 1)], axis=1
     ).reshape(n, 2, 2, d)
-    degenerate = p_a <= DEGENERATE_BRANCH_TOL
-    scale = np.zeros_like(p_a)
-    np.divide(1.0, p_a, out=scale, where=~degenerate)
-    p_b_given_a = linalg.clamp_probability(_sq_norms(branches) * scale[..., None])
+    try:
+        # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
+        p_ctrl = linalg.clamp_probability(_sq_norms(w[:, 0] - w[:, 1]) / 2.0, "P_CTRL")
+        p_a = linalg.clamp_probability(_sq_norms(halves), "p_a(z)")
+        degenerate = p_a <= DEGENERATE_BRANCH_TOL
+        scale = np.zeros_like(p_a)
+        np.divide(1.0, p_a, out=scale, where=~degenerate)
+        p_b_given_a = linalg.clamp_probability(_sq_norms(branches) * scale[..., None], "P(z_B|z)")
+        p_sift = linalg.clamp_probability(p_b_given_a[:, 0, 1] * p_a[:, 0] + p_b_given_a[:, 1, 0] * p_a[:, 1],
+                                          "P_SIFT")
+        p_sift_op = _sift_error_operator(psi, u)
+    except ValueError as exc:  # the deviations are computed only here, never on the path that passes
+        raise ValueError(f"{exc}; the attack's max deviation of M^dag M from 1 is "
+                         f"{linalg.unitary_deviation(v):.3e} for V and {linalg.unitary_deviation(u):.3e} "
+                         f"for U (each accepted up to {linalg.TOL_UNITARY})") from None
     rho_eve = (np.swapaxes(branches, -1, -2) @ branches.conj()) * scale[..., None, None]
-
-    p_sift = linalg.clamp_probability(p_b_given_a[:, 0, 1] * p_a[:, 0] + p_b_given_a[:, 1, 0] * p_a[:, 1])
-    p_sift_op = _sift_error_operator(psi, u)
     off = np.abs(p_sift - p_sift_op) > CROSS_CHECK_TOL
     if off.any():
         k = int(np.argmax(off))
@@ -220,7 +226,7 @@ def _sift_error_operator(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     for zz in (0, 1):
         m = z[zz] @ udag @ z[1 - zz] @ u @ z[zz]
         total = total + (psi.conj()[:, None, :] @ (m @ psi[..., None]))[:, 0, 0].real
-    return linalg.clamp_probability(total)
+    return linalg.clamp_probability(total, "P_SIFT (operator form)")
 
 
 def sift_error_operator(attack: AttackModel) -> float:

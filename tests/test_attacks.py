@@ -98,6 +98,11 @@ def test_range_errors_print_plain_floats():
     assert "np.float64" not in str(info.value)
 
 
+def test_family_attacks_need_theta():
+    with pytest.raises(ValueError, match="^attack 'partial-return-cz' needs a theta parameter$"):
+        named_attack("partial-return-cz")
+
+
 def test_fixed_attacks_reject_theta():
     for name in ("identity", "forward-cnot", "return-cz"):
         with pytest.raises(ValueError, match="takes no theta"):

@@ -181,6 +181,32 @@ def test_run_rejects_malformed_documents_with_exit_two(capsys, tmp_path, kind, r
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--family", "nope", "--param", "theta=0.1"], "unknown family 'nope'"),
+    (["sweep", "--family", "nope", "--param", "theta=0:1:3"], "unknown family 'nope'"),
+    (["run", "--family", "partial-return-cz", "--param", "phi=0.1"],
+     "family partial-return-cz has no parameter 'phi'"),
+    (["run", "--attack", "identity", "--povm", "nope"], "--povm 'nope' is not 'z', 'x', 'optimize', or an existing file"),
+    (["sweep", "--family", "partial-return-cz", "--param", "theta=0:1:0"], "grid count must be >= 1, got 0"),
+], ids=["run-family", "sweep-family", "param-name", "povm-source", "grid-count"])
+def test_bad_arguments_exit_two_naming_the_cause(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
+def test_run_rejects_a_near_unitary_attack_naming_the_failed_clamp(capsys, tmp_path):
+    # U = (1 + 4e-11) X passes the 1e-10 unitarity check but pushes P(z_B|z) past 1 + 1e-12
+    x = np.array([[0, 1], [1, 0]])
+    attack = protocol.AttackModel(1, [1.0], linalg.haar_unitary(2, 3), (1 + 4e-11) * x)
+    path = tmp_path / "flip.json"
+    write_document(attack_to_dict(attack), path)
+    code, out, err = run_cli(capsys, "run", "--attack", str(path), "--povm", "z")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: P(z_B|z) 1.00000000008 is not a probability")
+    assert "8.000e-11 for U" in err
+
+
 def test_run_optimize_evaluates_the_attack_once(capsys, monkeypatch):
     calls = []
     evaluate = protocol._evaluate
@@ -303,7 +329,7 @@ def test_sweep_optimize_runs_one_ascent_per_chunk(capsys, monkeypatch):
 
     stacks, starts = record_evaluations(monkeypatch), []
     ascend = eavesdropper._ascend
-    monkeypatch.setattr(eavesdropper, "_ascend", lambda tau, v, k: starts.append(len(v)) or ascend(tau, v, k))
+    monkeypatch.setattr(eavesdropper, "_ascend", lambda tau, v: starts.append(len(v)) or ascend(tau, v))
     argv = ["sweep", "--family", "partial-forward-cnot", "--povm", "optimize", "--restarts", "2"]
     code, out, _ = run_cli(capsys, *argv, "--param", "theta=0:1.5707963:300")
     assert code == 0
@@ -375,6 +401,37 @@ def test_sweep_help_example_runs(capsys):
                            "--param", grid.rsplit(":", 1)[0] + ":3")
     assert code == 0
     assert len(out.strip().split("\n")) == 4
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced block of README.md after the line `heading`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n{heading}\n", 1)[1].split("```", 2)[1]
+
+
+def test_every_readme_command_line_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_document(attack_to_dict(random_attack(2, 0)), tmp_path / "my_attack.json")
+    lines = [line for line in readme_block("## Command line").splitlines() if line.startswith("sqkd ")]
+    assert len(lines) == 5
+    for line in lines:
+        code, _, err = run_cli(capsys, *line.split()[1:])
+        assert (code, err) == (0, ""), line
+
+
+def test_the_readme_library_tour_runs_and_shows_what_it_computes():
+    lines = readme_block("## Library tour").removeprefix("python").splitlines()
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    k = next(i for i, line in enumerate(lines) if line.startswith("# approximately ("))
+    shown = lines[k].removeprefix("# approximately (").removesuffix(")").split(", ")
+    for value, text in zip(eval(lines[k - 1], namespace), shown, strict=True):
+        if text in ("True", "False"):
+            assert value is (text == "True")
+        elif text.endswith("..."):
+            assert str(value).startswith(text.removesuffix("...")), text
+        else:
+            assert abs(value - float(text)) <= 1e-12, text
 
 
 def test_theta_routes_agree(capsys, tmp_path):

@@ -82,6 +82,17 @@ def test_povm_validation_rejects_incomplete_set():
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Povm(np.eye(2)), r"shape \(2, 2\), expected \(m, d, d\)"),
+    (lambda: Povm(np.zeros((2, 2, 3))), r"shape \(2, 2, 3\), expected \(m, d, d\)"),
+    (lambda: Povm(np.empty((0, 2, 2))), "needs at least one element"),
+    (lambda: povm_from_factors([]), "at least one factor"),
+], ids=["one-matrix", "non-square", "no-elements", "no-factors"])
+def test_povm_construction_rejects_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_basis_povms():
     z = basis_povm(2, "z")
     assert np.allclose(z.elements[0], np.diag([1.0, 0.0]))
@@ -259,11 +270,12 @@ def eve_ensemble(attack) -> np.ndarray:
 
 @pytest.mark.parametrize("attack", [random_attack(d, s) for d in (1, 2, 3, 4) for s in (1, 2)]
                          + [degenerate_sift_attack(), crafted_zero_plus_attack()])
-def test_objective_is_the_mutual_information_of_its_table(attack):
+def test_objective_is_the_mutual_information_of_its_table(monkeypatch, attack):
+    monkeypatch.setattr(eavesdropper, "MAX_ITERATIONS", 25)
     tau = eve_ensemble(attack)
     m = max(2, attack.ancilla_dim ** 2)
     for v0 in _starts(tau[None], m, OptimizerConfig(restarts=4, seed=3))[0]:
-        for v in (v0, _ascend(tau[None], v0[None], 25)[0][0]):
+        for v in (v0, _ascend(tau[None], v0[None])[0][0]):
             table = np.einsum("ie,zij,je->ze", v.conj(), tau, v).real
             assert abs(_objective(tau[None], v[None])[0][0] - mutual_information(table)) <= 1e-12
 
@@ -353,8 +365,8 @@ def test_stacked_ascent_equals_the_per_start_loop_on_edge_cases(attack):
 def test_stacked_ascent_rejects_a_near_singular_step_while_others_go_on(monkeypatch):
     # a loose tolerance makes some early large steps near-singular
     monkeypatch.setattr(eavesdropper, "SINGULAR_TOL", 0.8)
-    masks = []
-    completed = eavesdropper._completed
+    masks, objectives = [], []
+    completed, objective = eavesdropper._completed, eavesdropper._objective
 
     def recording(w):
         trial, ok = completed(w)
@@ -362,9 +374,13 @@ def test_stacked_ascent_rejects_a_near_singular_step_while_others_go_on(monkeypa
         return trial, ok
 
     monkeypatch.setattr(eavesdropper, "_completed", recording)
+    monkeypatch.setattr(eavesdropper, "_objective", lambda tau, v: objectives.append(len(v)) or objective(tau, v))
     with np.errstate(all="raise"):
         assert_matches_per_start(random_attack(3, 5), OptimizerConfig(restarts=8, seed=0))
     assert any(not ok.all() and ok.any() for ok in masks)
+    # one step path: after the starts' evaluation, every step evaluates the
+    # whole stack it completed, its near-singular rows included
+    assert objectives[1:] == [len(ok) for ok in masks]
 
 
 def test_all_starts_share_one_completion_per_step(monkeypatch):

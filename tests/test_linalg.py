@@ -73,6 +73,16 @@ def test_clamp_probability():
         linalg.clamp_probability(1.1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: linalg.basis_state(2, 2), "basis index 2 out of range for dim 2"),
+    (lambda: linalg.operator_norm(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: linalg.haar_unitary(0, 0), "dim must be >= 1, got 0"),
+], ids=["basis-index", "non-square-norm", "haar-dim-0"])
+def test_out_of_range_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_checks_reject_nan():
     with pytest.raises(ValueError, match="nan"):
         linalg.check_unitary(np.full((2, 2), np.nan), name="V")

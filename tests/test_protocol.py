@@ -66,6 +66,27 @@ def test_attack_rejects_nan_on_construction(field, name):
         AttackModel(2, **parts)
 
 
+@pytest.mark.parametrize("d, omega, v, message", [
+    (0, np.zeros(0), np.eye(0), "ancilla_dim must be >= 1, got 0"),
+    (2, np.array([1.0, 0.0, 0.0]), np.eye(4), r"omega has shape \(3,\), expected \(2,\)"),
+    (2, np.array([1.0, 0.0]), np.eye(3), r"V has shape \(3, 3\), expected \(4, 4\)"),
+], ids=["ancilla-dim-0", "omega-length", "v-shape"])
+def test_attack_rejects_wrong_shapes_on_construction(d, omega, v, message):
+    with pytest.raises(ValueError, match=message):
+        AttackModel(d, omega, v, np.eye(2 * d))
+
+
+def test_a_failed_probability_clamp_names_the_quantity_and_the_unitarity_deviations():
+    # U = (1 + 4e-11) X deviates from unitary by 8e-11, under the 1e-10
+    # tolerance, yet pushes P(z_B|z) to 1 + 8e-11, past the clamp
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    attack = AttackModel(1, np.array([1.0]), linalg.haar_unitary(2, 3), (1 + 4e-11) * x)
+    with pytest.raises(ValueError, match=r"^P\(z_B\|z\) 1\.00000000008 is not a probability up to tolerance 1e-12; "
+                                         r"the attack's max deviation of M\^dag M from 1 is \d\.\d{3}e-16 for V "
+                                         r"and 8\.000e-11 for U \(each accepted up to 1e-10\)$"):
+        sift_branch(attack)
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [("identity", 0.0), ("forward-cnot", 0.5), ("return-cz", 0.5)],

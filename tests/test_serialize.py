@@ -103,6 +103,25 @@ def test_attack_document_bad_pairs():
         attack_from_dict(doc)
 
 
+def omega_of_strings() -> dict:
+    doc = attack_to_dict(named_attack("identity"))
+    doc["omega"] = [["a", 0]]
+    return doc
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda path: povm_from_dict({}), "missing the 'elements' field"),
+    (lambda path: parse_attack_file(path), "expected a JSON object at top level"),
+    (lambda path: parse_povm_file(path), "expected a JSON object at top level"),
+    (lambda path: attack_from_dict(omega_of_strings()), r"^omega: expected nested \[re, im\] pairs"),
+], ids=["povm-no-elements", "attack-list", "povm-list", "omega-strings"])
+def test_malformed_documents_are_rejected_naming_the_cause(tmp_path, read, message):
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read(path)
+
+
 def test_povm_roundtrip_bit_identical(tmp_path):
     eve = random_povm(3, 5, 7)
     path = tmp_path / "povm.json"
