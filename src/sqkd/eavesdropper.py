@@ -20,19 +20,20 @@ move with momentum beta, and restores completeness:
 
 where v' are the vectors before the last kept step.  A step is kept only
 if the information does not drop and Lambda is not near-singular.  After
-j kept steps in a row beta = min(0.99, (j - 1)/(j + 2)) (Nesterov); eps
-stays as it is.  A rejected step resets the run (adaptive restart,
-O'Donoghue and Candes, Found. Comput. Math. 15, 715, 2015): if it was
-extrapolated, beta drops to 0 and the same eps is tried as a plain step;
-if it was plain, eps halves.  eps starts at 1 and never grows, and every
-kept step is a POVM that does not lower the information.  The R starts
+j kept steps in a row beta = min(0.99, (j - 1)/(j + 2)) (Nesterov), read
+from a table indexed by the run length j; eps stays as it is.  A rejected
+step resets the run (adaptive restart, O'Donoghue and Candes, Found.
+Comput. Math. 15, 715, 2015): if it was extrapolated, beta drops to 0 and
+the same eps is tried as a plain step; if it was plain, eps halves.  eps
+starts at 1 and never grows, and every kept step is a POVM that does not
+lower the information.  The R starts
 of every ensemble of an evaluated stack of N attacks advance together as
 one stack of N R vector sets (N R, d, m), each on its own ensemble and
 with its own eps, beta, run and stop rule.  The state of the live starts
-is held packed, so each step works on whole arrays; a start that stops
-leaves the stack and costs nothing after.  Start 0 is the eigenbasis of
-tau_0 - tau_1, which refines the Helstrom measurement, so the result
-never falls below the Helstrom information.  Start 1 is the
+is held packed and updated in place, so each step works on whole arrays;
+a start that stops leaves the stack and costs nothing after.  Start 0 is
+the eigenbasis of tau_0 - tau_1, which refines the Helstrom measurement,
+so the result never falls below the Helstrom information.  Start 1 is the
 computational basis, the others are seeded random POVMs, the same for
 every ensemble.  Every iterate is a valid POVM, so the reported
 information is achieved: a lower bound on the accessible information,
@@ -40,6 +41,7 @@ with the Holevo quantity as the ceiling above it.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -53,9 +55,13 @@ MIN_STEP = 1e-12  # eps below this ends the start
 SINGULAR_TOL = 1e-6  # Lambda is near-singular below this eigenvalue ratio
 MAX_ITERATIONS = 2000  # steps tried from each start, kept or not
 _STOP_REASONS = ("iterations", "flat", "step")
+_LN2 = np.log(2.0)
+# beta after a run of j kept steps: 0 for j <= 1, then min(0.99, (j - 1)/(j + 2)),
+# which is 0.99 for every j >= 298, so a longer run reads the last entry
+_BETA = np.minimum(0.99, np.maximum(np.arange(300) - 1, 0) / (np.arange(300) + 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the POVM search.
 
@@ -74,8 +80,10 @@ class OptimizerConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        for name, low in (("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -98,14 +106,15 @@ class AccessibleInfoResult:
 def _objective(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """I(A:E) in bits of each POVM of the stack v (R, d, m; vectors as columns)
     on its own ensemble tau (R, 2, d, d), and G_e v_e (columns) for each."""
-    tv = tau @ v[:, None]  # tau_z v_e, (R, 2, d, m)
+    r, _, d, _ = tau.shape
+    tv = np.matmul(tau.reshape(r, 2 * d, d), v).reshape(r, 2, d, -1)  # tau_z v_e, (R, 2, d, m)
     table = np.maximum(np.einsum("rie,rzie->rze", v.conj(), tv).real, 0.0)
     marginals = table.sum(axis=-1, keepdims=True) * table.sum(axis=-2, keepdims=True)
     # where p(z, e) vanishes so does tau_z v_e (tau_z >= 0), and its term with it
     ratio = np.ones_like(table)
     np.divide(table, marginals, out=ratio, where=table >= ZERO_PROB)
     log_ratio = np.log(ratio)
-    info = (table * log_ratio).sum(axis=(-2, -1)) / np.log(2.0)
+    info = (table * log_ratio).sum(axis=(-2, -1)) / _LN2
     return info, np.einsum("rze,rzie->rie", log_ratio, tv)
 
 
@@ -124,46 +133,52 @@ def _ascend(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, lis
     stack v (R, d, m) at once, start r on the ensemble tau[r] (R, 2, d, d),
     for at most the module constant MAX_ITERATIONS steps, read at each call.
 
-    Each start keeps its own eps, momentum beta, run of kept steps and stop
-    rule.  The state of the live starts is held packed, in stack order, with
-    `ids` their places in the input; a start that stops writes its result
-    out once and leaves every packed array.  Each step completes and
-    evaluates the whole live stack once; a near-singular Lambda is rejected
-    by its mask.  Returns the last kept vectors, their information, the
-    stop reasons and the steps each start tried."""
-    v = np.asarray(v, dtype=complex)
+    Each start keeps its own eps, run of kept steps and stop rule; its
+    momentum beta is read from the run length.  The state of the live starts
+    is held packed, in stack order, with `ids` their places in the input,
+    and each step updates it in place (the arguments are never written); a
+    start that stops writes its result out once and leaves every packed
+    array.  Each step completes and evaluates the whole live stack once; a
+    near-singular Lambda is rejected by its mask.  Returns the last kept
+    vectors, their information, the stop reasons and the steps each start
+    tried."""
+    v = np.array(v, dtype=complex)
     out_v, out_info = np.empty_like(v), np.empty(len(v))
     stop = np.zeros(len(v), dtype=int)  # index into _STOP_REASONS; 0 until a start stops
     steps = np.full(len(v), MAX_ITERATIONS)  # a start that never stops tries every step
     ids = np.arange(len(v))
     info, grad = _objective(tau, v)
-    v_prev = v
+    v_prev = v.copy()
     eps = np.ones(len(v))
-    beta = np.zeros(len(v))
     run = np.zeros(len(v), dtype=int)  # consecutive kept steps
     for step in range(1, MAX_ITERATIONS + 1):
         if not ids.size:
             break
-        w = v + eps[:, None, None] * grad + beta[:, None, None] * (v - v_prev)
+        beta = np.take(_BETA, run, mode="clip")[:, None, None]
+        w = eps[:, None, None] * grad
+        w += v  # eps G + v: the same bits as v + eps G
+        w += beta * (v - v_prev)
         trial, ok = _completed(w)
         trial_info, trial_grad = _objective(tau, trial)
         kept = ok & (trial_info >= info)
         flat = kept & (trial_info - info < FLAT_GAIN)
-        plain = ~kept & (beta == 0.0)  # a rejected extrapolation retries as a plain step
-        run = np.where(kept, run + 1, 0)
-        beta = np.where(kept, np.minimum(0.99, (run - 1) / (run + 2)), 0.0)
-        eps = np.where(plain, eps / 2.0, eps)
+        plain = ~kept & (run <= 1)  # beta was 0; a rejected extrapolation retries as a plain step
+        run += 1
+        run *= kept
+        np.divide(eps, 2.0, out=eps, where=plain)
         k = kept[:, None, None]
-        v_prev, v, grad = np.where(k, v, v_prev), np.where(k, trial, v), np.where(k, trial_grad, grad)
-        info = np.where(kept, trial_info, info)
+        np.copyto(v_prev, v, where=k)
+        np.copyto(v, trial, where=k)
+        np.copyto(grad, trial_grad, where=k)
+        np.copyto(info, trial_info, where=kept)
         done = flat | (plain & (eps < MIN_STEP))
         if done.any():
             gone = ids[done]
             out_v[gone], out_info[gone], steps[gone] = v[done], info[done], step
             stop[gone] = np.where(flat[done], 1, 2)
             live = ~done
-            ids, tau, v, v_prev, grad, info, eps, beta, run = (
-                a[live] for a in (ids, tau, v, v_prev, grad, info, eps, beta, run))
+            ids, tau, v, v_prev, grad, info, eps, run = (
+                a[live] for a in (ids, tau, v, v_prev, grad, info, eps, run))
     out_v[ids], out_info[ids] = v, info
     return out_v, out_info, [_STOP_REASONS[k] for k in stop], steps
 
@@ -171,14 +186,18 @@ def _ascend(tau: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, lis
 def _starts(tau: np.ndarray, m: int, cfg: OptimizerConfig) -> np.ndarray:
     """Start vectors (N, R, d, m; columns v_e) for each ensemble tau (N, 2, d, d):
     the eigenbasis of tau_0 - tau_1 and the computational basis, each padded
-    with zero vectors, then random POVMs drawn once and shared by all N."""
+    with zero vectors, then random POVMs drawn once and shared by all N.
+    Random start r is the first d rows of linalg.haar_unitary(m, child r of
+    SeedSequence(seed)), all of them completed in one batch."""
     n, _, d, _ = tau.shape
     starts = np.zeros((n, cfg.restarts, d, m), dtype=complex)
     starts[:, 0, :, :d] = np.linalg.eigh(tau[:, 0] - tau[:, 1])[1]
     starts[:, 1:2, :, :d] = np.eye(d)
-    for r, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[2:], 2):
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[2:]
+    if children:
         # d rows of a Haar unitary on C^m: a uniformly random rank-one POVM
-        starts[:, r] = linalg.haar_unitary(m, child)[:d]
+        g = np.concatenate([linalg.ginibre(np.random.default_rng(child), 1, m) for child in children])
+        starts[:, 2:] = linalg.haar_from_ginibre(g)[:, :d]
     return starts
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,14 @@ def test_degenerate_sift_attack_has_an_empty_branch():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0).validate()
+    for fields, name in (({"restarts": 2.5}, "restarts"), ({"restarts": True}, "restarts"),
+                         ({"seed": -1}, "seed"), ({"seed": 1.0}, "seed")):
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**fields)
+    cfg = OptimizerConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.restarts = 0
+    assert OptimizerConfig(restarts=np.int64(3), seed=np.int64(0)).restarts == 3
 
 
 def test_optimizer_config_validates_on_construction():
@@ -362,6 +372,35 @@ def test_stacked_ascent_equals_the_per_start_loop_on_edge_cases(attack):
         assert_matches_per_start(attack, OptimizerConfig(restarts=8, seed=0))
 
 
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_stacked_ascent_equals_the_per_start_loop_with_few_starts(restarts):
+    # restarts 1 and 2 have no random start, 3 has one
+    assert_matches_per_start(random_attack(3, 5), OptimizerConfig(restarts=restarts, seed=0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_random_starts_are_rows_of_haar_unitaries_from_the_seed_children(d):
+    cfg = OptimizerConfig(restarts=8, seed=6)
+    m = max(2, d * d)
+    tau = np.stack([eve_ensemble(random_attack(d, s)) for s in (1, 2)])
+    starts = _starts(tau, m, cfg)
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    for r in range(2, cfg.restarts):
+        expected = linalg.haar_unitary(m, children[r])[:d]
+        for k in range(len(tau)):
+            assert np.array_equal(starts[k, r], expected)
+
+
+def test_ascend_leaves_its_arguments_unchanged():
+    tau = np.repeat(eve_ensemble(random_attack(3, 1))[None], 4, axis=0)
+    v = _starts(tau[:1], 9, OptimizerConfig(restarts=4, seed=0))[0]
+    tau_copy, v_copy = tau.copy(), v.copy()
+    out_v = _ascend(tau, v)[0]
+    assert np.array_equal(tau, tau_copy)
+    assert np.array_equal(v, v_copy)
+    assert not np.array_equal(out_v, v)
+
+
 def test_stacked_ascent_rejects_a_near_singular_step_while_others_go_on(monkeypatch):
     # a loose tolerance makes some early large steps near-singular
     monkeypatch.setattr(eavesdropper, "SINGULAR_TOL", 0.8)
@@ -405,7 +444,7 @@ def test_all_starts_share_one_completion_per_step(monkeypatch):
     assert len(objectives) == steps.max() + 1  # the starts, then one evaluation per step
 
 
-@pytest.mark.parametrize("max_iterations", [0, 1, 40, 2000])
+@pytest.mark.parametrize("max_iterations", [0, 1, 40, 2000, 5000])
 def test_steps_reach_the_cap_exactly_when_a_start_stops_on_iterations(monkeypatch, max_iterations):
     monkeypatch.setattr(eavesdropper, "MAX_ITERATIONS", max_iterations)
     result = accessible_information(random_attack(4, 1), OptimizerConfig(restarts=8, seed=0))
@@ -413,6 +452,17 @@ def test_steps_reach_the_cap_exactly_when_a_start_stops_on_iterations(monkeypatc
     for reason, steps in zip(result.stop_reasons, result.steps):
         assert (reason == "iterations") == (steps == max_iterations)
         assert 0 <= steps <= max_iterations
+
+
+def test_a_run_of_kept_steps_may_outgrow_the_default_cap(monkeypatch):
+    # with no kept step counted as flat, forward-cnot's first two starts keep
+    # every step at 1 bit, so their runs of kept steps pass the default cap
+    monkeypatch.setattr(eavesdropper, "FLAT_GAIN", 0.0)
+    monkeypatch.setattr(eavesdropper, "MAX_ITERATIONS", 5000)
+    result = accessible_information(named_attack("forward-cnot"), OptimizerConfig(restarts=2, seed=0))
+    assert result.stop_reasons == ["iterations"] * 2
+    assert result.steps == [5000] * 2
+    assert min(result.restart_values) >= 1.0 - 1e-12
 
 
 def stacked_solve_matches_each_instance(attacks, stack, cfg):
