@@ -10,7 +10,7 @@ from .eavesdropper import (
     accessible_information,
     holevo_bound,
 )
-from .info import mutual_information, shannon_entropy, von_neumann_entropy
+from .info import mutual_information
 from .linalg import haar_unitary, operator_norm
 from .povm import DegeneracyError, Povm, basis_povm, povm_from_factors, random_povm
 from .protocol import (
@@ -63,10 +63,8 @@ __all__ = [
     "random_attack",
     "random_povm",
     "run_suite",
-    "shannon_entropy",
     "sift_branch",
     "sift_error_operator",
     "tradeoff_bound",
     "verify_tradeoff",
-    "von_neumann_entropy",
 ]

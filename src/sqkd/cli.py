@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import _NAME_WITH_ARG, FAMILIES, NAMES, _check_thetas, named_attack
-from .eavesdropper import OptimizerConfig, _accessible_information, holevo_bound
+from .eavesdropper import OptimizerConfig, _accessible_information, _holevo
 from .povm import basis_povm
 from .protocol import _evaluate, _evaluate_attack, check_attacks
 from .serialize import parse_attack_file, parse_povm_file, povm_to_dict, report_to_dict, write_document
@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
             "stop_reasons": found[0].stop_reasons,
             "restart_values": [float(v) for v in found[0].restart_values],
             # the optimizer's information and the Holevo ceiling above it
-            "info_interval": [found[0].info, holevo_bound(*report.sift.rho_eve, report.sift.p_a)],
+            "info_interval": [found[0].info, float(_holevo(ev)[0])],
         }
     _emit(write_document(doc), args.out)
     return 0 if report.holds else 1

@@ -37,7 +37,10 @@ so the result never falls below the Helstrom information.  Start 1 is the
 computational basis, the others are seeded random POVMs, the same for
 every ensemble.  Every iterate is a valid POVM, so the reported
 information is achieved: a lower bound on the accessible information,
-with the Holevo quantity as the ceiling above it.
+with the Holevo quantity chi as the ceiling above it.  tau_0 + tau_1 and
+tau_z share their nonzero spectra with the 4 x 4 Gram matrix Gamma of the
+qubit blocks of U Z_z psi and its block Gamma_zz, so
+chi = S(Gamma) + H(p_a) - S(Gamma_00 (+) Gamma_11) costs the same for any d.
 """
 
 from dataclasses import dataclass, field
@@ -46,9 +49,9 @@ from numbers import Integral
 import numpy as np
 
 from . import linalg
-from .info import ZERO_PROB, mutual_information, shannon_entropy, von_neumann_entropy
+from .info import ZERO_PROB, _clean_probabilities, _entropy_bits, mutual_information
 from .povm import Povm, rank_one_elements
-from .protocol import AttackModel, _evaluate_attack, _Evaluation, _joint_table
+from .protocol import AttackModel, _evaluate_attack, _Evaluation, _gram, _joint_table
 
 FLAT_GAIN = 1e-12  # bits: a kept step that gains less ends the start
 MIN_STEP = 1e-12  # eps below this ends the start
@@ -228,14 +231,18 @@ def accessible_information(attack: AttackModel, cfg: OptimizerConfig | None = No
     return _accessible_information(_evaluate_attack(attack), cfg)[0]
 
 
-def holevo_bound(rho0: np.ndarray, rho1: np.ndarray, p) -> float:
-    """Holevo quantity chi = S(p0 rho0 + p1 rho1) - p0 S(rho0) - p1 S(rho1).
+def _holevo(ev: _Evaluation) -> np.ndarray:
+    """chi (N,) of every instance of an evaluated stack; each spectrum and p_a is validated."""
+    gram = _gram(ev.branches)
+    blocks = np.moveaxis(gram.reshape(-1, 2, 2, 2, 2).diagonal(axis1=1, axis2=3), -1, 1)  # Gamma_00, Gamma_11
+    s_all, h_a, s_blocks = (_entropy_bits(_clean_probabilities(p, name, -1), -1) for p, name in (
+        (np.linalg.eigvalsh(gram), "spectrum of Gamma"), (ev.p_a, "p_a"),
+        (np.linalg.eigvalsh(blocks).reshape(-1, 4), "spectra of Gamma_00 and Gamma_11")))
+    return np.maximum(s_all + h_a - s_blocks, 0.0)
 
-    Computed as S(p0 rho0 + p1 rho1) + H(p) - H(spectra of p0 rho0 and
-    p1 rho1), so a zero-weight state (the flagged zero operator of a
-    degenerate branch) adds only zero eigenvalues.
-    """
-    h_p = shannon_entropy(p)  # validates p as a probability pair
-    weighted = np.asarray(p, dtype=float)[:, None, None] * np.stack([rho0, rho1]).astype(complex)
-    chi = von_neumann_entropy(weighted.sum(axis=0)) + h_p - shannon_entropy(np.linalg.eigvalsh(weighted))
-    return max(chi, 0.0)
+
+def holevo_bound(attack: AttackModel) -> float:
+    """Holevo quantity chi = S(tau_0 + tau_1) - sum_z p_a(z) S(rho_z), the ceiling on
+    Eve's accessible information, as S(Gamma) + H(p_a) - S(Gamma_00 (+) Gamma_11) from
+    the 4 x 4 Gram matrix Gamma (module docstring), at a cost independent of d."""
+    return float(_holevo(_evaluate_attack(attack))[0])

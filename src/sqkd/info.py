@@ -27,15 +27,6 @@ def _entropy_bits(p: np.ndarray, axis=None):
     return -(q * np.log2(q)).sum(axis=axis)
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0.
-
-    Entries below 1e-15 are treated as exact zeros; entries below
-    -1e-12 raise, anything in between is clamped to 0.
-    """
-    return float(_entropy_bits(_clean_probabilities(np.ravel(p), "probability vector")))
-
-
 def validate_joint(table) -> np.ndarray:
     """Validate and clean a joint probability table p(x, y) or a stack of them.
 
@@ -65,8 +56,3 @@ def mutual_information(table):
     mi = np.maximum(mi, 0.0)
     return float(mi) if mi.ndim == 0 else mi
 
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits; eigenvalues in [-1e-12, 0) are clamped."""
-    eigs = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    return shannon_entropy(eigs)

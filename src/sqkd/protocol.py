@@ -172,6 +172,13 @@ def _evaluate_attack(attack: AttackModel) -> _Evaluation:
     return _evaluate(attack.omega[None], attack.v[None], attack.u[None])
 
 
+def _gram(branches: np.ndarray) -> np.ndarray:
+    """Gram matrices (N, 4, 4) of the qubit blocks b_{z,q} of branches (N, 2, 2, d),
+    in (z, q) order: Gamma[(z, q), (z', q')] = <b_{z,q}|b_{z',q'}>."""
+    b = branches.reshape(len(branches), 4, -1)
+    return b.conj() @ b.swapaxes(-1, -2)
+
+
 def _lifted_expectations(vecs: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """<v| 1_H (x) E_e |v>, clamped at 0, for joint vectors given by their
     qubit blocks vecs (N, ..., 2, d) and elements (N, m, d, d); shape (N, ..., m)."""

@@ -178,7 +178,7 @@ def test_accessible_information_oracle():
     attack = _zero_plus_attack()
     out = sift_branch(attack)
     oracle = _projective_grid_oracle(out.p_a, out.rho_eve, 10_000)
-    chi = holevo_bound(out.rho_eve[0], out.rho_eve[1], out.p_a)
+    chi = holevo_bound(attack)
     found = accessible_information(attack, OptimizerConfig(restarts=12, seed=2))
     ok = (
         0.394 <= found.info <= HOLEVO_ZERO_PLUS + 1e-6

@@ -10,14 +10,15 @@ from sqkd.eavesdropper import (
     OptimizerConfig,
     _accessible_information,
     _ascend,
+    _holevo,
     _objective,
     _starts,
     accessible_information,
     holevo_bound,
 )
-from sqkd.info import mutual_information, von_neumann_entropy
+from sqkd.info import mutual_information
 from sqkd.povm import DegeneracyError, Povm, basis_povm, povm_from_factors
-from sqkd.protocol import AttackModel, _evaluate, ctrl_error, eve_information, sift_branch
+from sqkd.protocol import AttackModel, _evaluate, _evaluate_attack, _gram, ctrl_error, eve_information, sift_branch
 
 HOLEVO_ZERO_PLUS = 0.6008760366928561  # {|0>, |+>} equiprobable, frozen analytic value
 # info the earlier Nelder-Mead search reached on random_attack(d, s), 8 restarts, seed 0
@@ -134,8 +135,7 @@ def test_accessible_information_below_holevo():
     rng = np.random.default_rng(21)
     for seed in range(5):
         attack = random_attack(2, rng)
-        out = sift_branch(attack)
-        chi = holevo_bound(out.rho_eve[0], out.rho_eve[1], out.p_a)
+        chi = holevo_bound(attack)
         result = accessible_information(attack, OptimizerConfig(restarts=3, seed=seed))
         assert result.info <= chi + 1e-9
 
@@ -190,8 +190,7 @@ def test_accessible_information_between_helstrom_and_holevo(case):
     # case: (d, seed) of a random attack, or a named attack
     attack = named_attack(case) if isinstance(case, str) else random_attack(*case)
     result = accessible_information(attack, OptimizerConfig(restarts=8, seed=0))
-    out = sift_branch(attack)
-    chi = holevo_bound(out.rho_eve[0], out.rho_eve[1], out.p_a)
+    chi = holevo_bound(attack)
     assert result.info >= helstrom_information(attack) - 1e-9
     assert result.info <= chi + 1e-9
     assert result.info >= NELDER_MEAD_INFO.get(case, 0.0)
@@ -502,41 +501,67 @@ def test_stacked_solve_equals_per_instance_solves_with_an_empty_branch():
     attacks = [random_attack(2, 1), degenerate_sift_attack(), random_attack(2, 5)]
     with np.errstate(all="raise"):
         stacked_solve_matches_each_instance(attacks, attack_stack(attacks), OptimizerConfig(restarts=4, seed=1))
+        chi = _holevo(_evaluate(*attack_stack(attacks)))
+        assert chi.tolist() == [holevo_bound(a) for a in attacks]
+
+
+def von_neumann_bits(rho) -> float:
+    """S(rho) in bits from the d x d eigenvalues, 0 log 0 = 0."""
+    eigs = np.linalg.eigvalsh(rho)
+    eigs = eigs[eigs > 1e-15]
+    return float(-(eigs * np.log2(eigs)).sum())
 
 
 def per_state_holevo(rho0, rho1, p) -> float:
     """chi = S(p0 rho0 + p1 rho1) - sum_z p_z S(rho_z), skipping states of weight <= 1e-12."""
-    chi = von_neumann_entropy(p[0] * rho0 + p[1] * rho1)
+    chi = von_neumann_bits(p[0] * rho0 + p[1] * rho1)
     for weight, rho in zip(p, (rho0, rho1)):
         if weight > 1e-12:
-            chi -= weight * von_neumann_entropy(rho)
+            chi -= weight * von_neumann_bits(rho)
     return max(chi, 0.0)
 
 
 @pytest.mark.parametrize("attack", [random_attack(d, s) for d in (1, 2, 3, 4) for s in range(5)]
-                         + [degenerate_sift_attack(), crafted_zero_plus_attack()])
+                         + [degenerate_sift_attack(), crafted_zero_plus_attack()]
+                         + [random_attack(d, s) for d in (5, 6) for s in range(5)])
 def test_holevo_matches_the_per_state_formula(attack):
     out = sift_branch(attack)
     expected = per_state_holevo(*out.rho_eve, out.p_a)
-    assert abs(holevo_bound(*out.rho_eve, out.p_a) - expected) <= 1e-12
+    assert abs(holevo_bound(attack) - expected) <= 1e-12
+
+
+GRAM_ATTACKS = ([random_attack(d, s) for d in range(1, 7) for s in range(3)]
+                + [named_attack(f, t) for f in ("partial-forward-cnot", "partial-return-cz") for t in (0.3, 1.2)]
+                + [degenerate_sift_attack()])
+
+
+@pytest.mark.parametrize("attack", GRAM_ATTACKS)
+def test_gram_matrix_gives_the_kernel_figures(attack):
+    # the (z, q) order of Gamma: U psi has qubit-q block b_{0,q} + b_{1,q}, so the
+    # CTRL amplitude (U psi)_0 - (U psi)_1 is sum_i c_i b_i with c below
+    ev = _evaluate_attack(attack)
+    gram = _gram(ev.branches)[0]
+    c = np.array([1.0, -1.0, 1.0, -1.0]) / np.sqrt(2.0)
+    assert abs((c @ gram @ c).real - ev.p_ctrl[0]) <= 1e-14
+    assert abs(gram[1, 1].real + gram[2, 2].real - ev.p_sift[0]) <= 1e-14
+    assert np.abs(np.einsum("zqzq->z", gram.reshape(2, 2, 2, 2)).real - ev.p_a[0]).max() <= 1e-14
+    assert np.abs(gram - gram.conj().T).max() <= 1e-14
+    assert np.linalg.eigvalsh(gram).min() >= -1e-14
+    assert abs(np.trace(gram) - 1.0) <= 1e-14
 
 
 def test_holevo_identical_states():
-    g = linalg.ginibre(np.random.default_rng(2), 1, 3)[0]
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    assert holevo_bound(rho, rho, [0.5, 0.5]) <= 1e-12
+    # the identity attack leaves Eve's ancilla in omega whatever Alice reads
+    assert holevo_bound(named_attack("identity")) <= 1e-12
 
 
 def test_holevo_orthogonal_pure_states():
-    got = holevo_bound(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [0.5, 0.5])
-    assert abs(got - 1.0) <= 1e-12
+    # forward-cnot copies Alice's bit into the ancilla: |0> or |1>
+    assert abs(holevo_bound(named_attack("forward-cnot")) - 1.0) <= 1e-12
 
 
 def test_holevo_zero_plus_ensemble():
-    plus = np.full((2, 2), 0.5)  # |+><+|
-    got = holevo_bound(np.diag([1.0, 0.0]), plus, [0.5, 0.5])
-    assert abs(got - HOLEVO_ZERO_PLUS) <= 1e-12
+    assert abs(holevo_bound(crafted_zero_plus_attack()) - HOLEVO_ZERO_PLUS) <= 1e-12
 
 
 def binary_entropy(p):
@@ -565,7 +590,7 @@ def test_families_match_the_two_pure_state_closed_forms(family, theta):
     sift = sift_branch(attack)
     assert sift.p_sift <= 1e-12
     assert abs(ctrl_error(attack) - p_ctrl) <= 1e-12
-    assert abs(holevo_bound(sift.rho_eve[0], sift.rho_eve[1], sift.p_a) - chi) <= 1e-12
+    assert abs(holevo_bound(attack) - chi) <= 1e-12
     assert abs(accessible_information(attack, OptimizerConfig(restarts=4)).info - info) <= 1e-12
 
 

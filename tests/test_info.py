@@ -2,37 +2,29 @@ import numpy as np
 import pytest
 
 from sqkd import info
-from sqkd.info import mutual_information, shannon_entropy, validate_joint, von_neumann_entropy
+from sqkd.info import mutual_information, validate_joint
 from sqkd.tradeoff import fidelity_information_bound
 
 # frozen with a 40-digit evaluation of the binary entropy formula
 H_ONE_FIFTH = 0.7219280948873623
 
 
+# the Shannon entropy is info._entropy_bits, which every entropy in the program goes through
 def test_shannon_entropy_deterministic():
-    assert shannon_entropy([1.0, 0.0]) == 0.0
+    assert info._entropy_bits(np.array([1.0, 0.0])) == 0.0
 
 
 def test_shannon_entropy_uniform_bit():
-    assert abs(shannon_entropy([0.5, 0.5]) - 1.0) <= 1e-15
+    assert abs(info._entropy_bits(np.array([0.5, 0.5])) - 1.0) <= 1e-15
 
 
 def test_shannon_entropy_binary():
-    assert abs(shannon_entropy([0.2, 0.8]) - H_ONE_FIFTH) <= 1e-15
-
-
-def test_shannon_entropy_rejects_bad_input():
-    with pytest.raises(ValueError, match="negative"):
-        shannon_entropy([0.5, 0.5, -1e-6])
-    with pytest.raises(ValueError, match="sums to"):
-        shannon_entropy([0.5, 0.4])
-    # entries within the clamp window are fine
-    assert shannon_entropy([1.0, -1e-13]) == 0.0
+    assert abs(info._entropy_bits(np.array([0.2, 0.8])) - H_ONE_FIFTH) <= 1e-15
 
 
 def test_entropy_and_information_reject_nan():
     with pytest.raises(ValueError, match="sums to nan"):
-        shannon_entropy([np.nan, 1.0])
+        validate_joint([[np.nan, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="sums to nan"):
         mutual_information([[np.nan, 0.5], [0.25, 0.25]])
 
@@ -91,8 +83,16 @@ def test_mutual_information_bounds_on_random_joints():
 def test_validate_joint_clamps_and_rejects():
     t = validate_joint([[0.5, -1e-13], [0.25, 0.25]])
     assert t[0, 1] == 0.0
-    with pytest.raises(ValueError):
+    # entries within the clamp window [-1e-12, 0) are fine
+    assert mutual_information([[1.0, -1e-13], [0.0, 0.0]]) == 0.0
+    with pytest.raises(ValueError, match="negative entry"):
+        validate_joint([[0.5, 0.5], [-1e-6, 0.0]])
+    with pytest.raises(ValueError, match="negative entry"):
+        mutual_information([[0.5, 0.5], [-1e-6, 0.0]])
+    with pytest.raises(ValueError, match="sums to"):
         validate_joint([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="sums to"):
+        mutual_information([[0.5, 0.4], [0.0, 0.0]])
     with pytest.raises(ValueError):
         validate_joint([0.5, 0.5])
 
@@ -131,11 +131,3 @@ def test_one_bad_table_in_a_stack_raises():
     tables[23, 1, 2] = -1e-6
     with pytest.raises(ValueError, match="negative entry"):
         mutual_information(tables)
-
-
-def test_von_neumann_entropy():
-    assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
-    assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) <= 1e-12
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    mixed = 0.5 * np.diag([1.0, 0.0]) + 0.5 * np.outer(plus, plus)
-    assert abs(von_neumann_entropy(mixed) - 0.6008760366928561) <= 1e-12
