@@ -22,6 +22,19 @@ def test_shannon_entropy_binary():
     assert abs(info._entropy_bits(np.array([0.2, 0.8])) - H_ONE_FIFTH) <= 1e-15
 
 
+def test_shannon_entropy_rejects_bad_input():
+    # a validated entropy, as eavesdropper._holevo takes it of each spectrum and of p_a
+    def entropy(p):
+        return info._entropy_bits(info._clean_probabilities(np.asarray(p), "probability vector"))
+
+    with pytest.raises(ValueError, match="negative"):
+        entropy([0.5, 0.5, -1e-6])
+    with pytest.raises(ValueError, match="sums to"):
+        entropy([0.5, 0.4])
+    # entries within the clamp window are fine
+    assert entropy([1.0, -1e-13]) == 0.0
+
+
 def test_entropy_and_information_reject_nan():
     with pytest.raises(ValueError, match="sums to nan"):
         validate_joint([[np.nan, 1.0], [0.0, 0.0]])
