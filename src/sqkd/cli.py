@@ -21,7 +21,7 @@ from .povm import basis_povm
 from .protocol import _evaluate, _evaluate_attack, check_attacks
 from .serialize import parse_attack_file, parse_povm_file, povm_to_dict, report_to_dict, write_document
 from .suites import SUITE_NAMES, run_suite
-from .tradeoff import SLACK_TOL, _assess, _report
+from .tradeoff import _assess, _report, _verdict
 
 SWEEP_HEADER = "family,theta,p_ctrl,p_sift,info_lower,rhs,gap,holds"
 _CHUNK = 256  # most grid points of a sweep in one stack; bounds the size of the stacks
@@ -130,8 +130,7 @@ def cmd_sweep(args) -> int:
         check_attacks(stack[0].shape[-1], *stack)
         ev = _evaluate(*stack)
         _, info, rhs = _assess(ev, np.stack([p.elements for p in _resolve_povm(args.povm, ev, args)[0]]))
-        gap = rhs - info
-        ok = gap >= SLACK_TOL
+        gap, ok = _verdict(info, rhs)
         holds = holds and bool(ok.all())
         rows += [",".join([args.family, *map(_fmt, row[:-1]), "true" if row[-1] else "false"])
                  for row in zip(thetas, ev.p_ctrl, ev.p_sift, info, rhs, gap, ok)]

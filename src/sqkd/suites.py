@@ -25,9 +25,8 @@ from . import linalg
 from .info import mutual_information
 from .povm import Povm, check_elements, elements_from_factors
 from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, check_attacks
-from .tradeoff import SLACK_TOL, STEPS, _assess, _overlap_slack, _proof_chain, fidelity_information_bound
+from .tradeoff import SLACK_TOL, _assess, _overlap_slack, _proof_chain, _worst_step, fidelity_information_bound
 
-_ONE_SIDED = tuple(s for s in STEPS if not s.startswith("s1"))
 _WINDOW = 1024  # trials drawn and grouped by shape together; bounds the draws held at once and the stacks
 
 
@@ -122,14 +121,8 @@ def _theorem_figures(key, draws) -> dict:
 
 def _proof_chain_figures(key, draws) -> dict:
     ev, elements, joint, info, rhs = _theorem_batch(key, draws)
-    slacks = _proof_chain(ev, elements, joint, info, rhs).step_slacks
-    one_sided = np.stack([slacks[s] for s in _ONE_SIDED], axis=1)
-    return {
-        "slack": one_sided.min(axis=1),
-        "max_equality_residual": np.maximum(np.abs(slacks["s1_z0"]), np.abs(slacks["s1_z1"])),
-        "rhs": rhs,
-        "step": one_sided.argmin(axis=1),
-    }
+    slack, step, residual = _worst_step(_proof_chain(ev, elements, joint, info, rhs).step_slacks)
+    return {"slack": slack, "max_equality_residual": residual, "rhs": rhs, "step": step}
 
 
 def _draw_lemma1(child) -> tuple:
@@ -223,7 +216,7 @@ def run_suite(suite: str, trials: int, seed: int) -> SuiteResult:
     if "rhs" in figures:
         extra["non_vacuous"] = int((figures["rhs"] <= 1.0).sum())
     if "step" in figures:
-        extra["worst_step"] = _ONE_SIDED[int(figures["step"][worst])]
+        extra["worst_step"] = figures["step"][worst]
     return SuiteResult(
         suite=suite,
         trials=trials,

@@ -28,7 +28,8 @@ from .protocol import (
 
 SLACK_TOL = -1e-9
 STEPS = ("s1_z0", "s1_z1", "s2", "s3", "s4", "s5", "s6_info_fidelity", "s6_fidelity_bound")
-"""The derivation steps of proof_chain, in order; the s1 steps are equalities."""
+"""The derivation steps of proof_chain, in order; the first _EQUALITIES are equality residuals."""
+_EQUALITIES = 2  # the steps after them are one-sided: their slacks are RHS - LHS
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,12 @@ def _assess(ev: _Evaluation, elements: np.ndarray) -> tuple:
     return joint, mutual_information(joint), tradeoff_bound(ev.p_ctrl, ev.p_sift)
 
 
+def _verdict(info, rhs) -> tuple:
+    """The gap rhs - I(A:E) of the trade-off bound, elementwise, and whether it is at least SLACK_TOL."""
+    gap = rhs - info
+    return gap, gap >= SLACK_TOL
+
+
 def _overlap_slack(phi0: np.ndarray, phi1: np.ndarray, x: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """povm_overlap_slack for stacks phi0, phi1 (N, 2d), x (N, 2, 2) and
     elements (N, m, d, d)."""
@@ -195,17 +202,23 @@ def _proof_chain(ev: _Evaluation, elements: np.ndarray, joint: np.ndarray, info:
     p0_overlap = np.sqrt(p0[:, 0] * p0[:, 1]).sum(axis=-1)
     fid_bound = _fidelity_bound(fidelity_sum)
 
-    slacks = {
-        "s1_z0": residual,
-        "s1_z1": residual,
-        "s2": s2.min(axis=(1, 2)),
-        "s3": lhs_overlap - (0.5 - p_ctrl),
-        "s4": fidelity_sum + slack_term - p0_overlap,
-        "s5": fidelity_sum - (0.5 - p_ctrl - slack_term),
-        "s6_info_fidelity": fid_bound - info,
-        "s6_fidelity_bound": np.where(rhs <= 1.0, rhs ** 2 - fid_bound ** 2, rhs - info),
-    }
-    return ProofTrace(p0, p0.sum(axis=-1), lhs_overlap, fidelity_sum, slacks)
+    # the step slacks in the order proof_chain's docstring lists them
+    return ProofTrace(p0, p0.sum(axis=-1), lhs_overlap, fidelity_sum, dict(zip(STEPS, (
+        residual, residual,
+        s2.min(axis=(1, 2)),
+        lhs_overlap - (0.5 - p_ctrl),
+        fidelity_sum + slack_term - p0_overlap,
+        fidelity_sum - (0.5 - p_ctrl - slack_term),
+        fid_bound - info,
+        np.where(rhs <= 1.0, rhs ** 2 - fid_bound ** 2, rhs - info),
+    ), strict=True)))
+
+
+def _worst_step(slacks: dict) -> tuple:
+    """Per instance of stacked step slacks: least one-sided slack, its step, largest equality residual."""
+    one_sided = np.stack([slacks[s] for s in STEPS[_EQUALITIES:]], axis=1)
+    residual = np.abs(np.stack([slacks[s] for s in STEPS[:_EQUALITIES]], axis=1)).max(axis=1)
+    return one_sided.min(axis=1), np.array(STEPS[_EQUALITIES:], dtype=object)[one_sided.argmin(axis=1)], residual
 
 
 def verify_tradeoff(attack: AttackModel, eve_povm: Povm) -> TradeoffReport:
@@ -218,14 +231,14 @@ def _report(ev: _Evaluation, eve_povm: Povm) -> TradeoffReport:
     """verify_tradeoff of an evaluated attack (a stack of one)."""
     elements = eve_povm.elements[None]
     joint, info, rhs = _assess(ev, elements)
-    gap = float(rhs[0] - info[0])
+    gap, holds = _verdict(info[0], rhs[0])
     return TradeoffReport(
         p_ctrl=float(ev.p_ctrl[0]),
         p_sift=float(ev.p_sift[0]),
         info=float(info[0]),
         rhs=float(rhs[0]),
-        gap=gap,
-        holds=bool(gap >= SLACK_TOL),
+        gap=float(gap),
+        holds=bool(holds),
         trace=_proof_chain(ev, elements, joint, info, rhs).instance(0),
         sift=ev.sift(0),
         joint=joint[0],

@@ -5,6 +5,7 @@ instead of crashing a benchmark run."""
 import numpy as np
 
 import sqkd
+from sqkd.tradeoff import _EQUALITIES, STEPS
 
 PUBLIC_NAMES = {
     "AccessibleInfoResult",
@@ -59,3 +60,20 @@ def test_names_the_benchmark_harness_calls():
     assert sqkd.joint_distribution(attack, povm).shape == (2, len(povm.elements))
     drawn = sqkd.random_attack(2, 3)
     assert (drawn.ancilla_dim, drawn.omega.shape, drawn.v.shape, drawn.u.shape) == (2, (2,), (4, 4), (4, 4))
+
+
+def test_the_step_table_the_benchmark_reads():
+    # bench/workloads.py regenerates a proof-chain run's min_slack from its worst
+    # trial as the least step slack whose name does not start with "s1"
+    trials, seed = 300, 5
+    result = sqkd.run_suite("proof-chain", trials, seed)
+    child = np.random.SeedSequence(seed).spawn(trials)[result.worst_trial]
+    slacks = sqkd.proof_chain(*sqkd.suites.sample_theorem_instance(child)).step_slacks
+    assert tuple(slacks) == STEPS
+    assert STEPS[:_EQUALITIES] == tuple(k for k in STEPS if k.startswith("s1"))
+    one_sided = [k for k in slacks if not k.startswith("s1")]
+    assert abs(min(slacks[k] for k in one_sided) - result.min_slack) <= 1e-12
+    assert min(one_sided, key=slacks.get) == result.worst_step
+    at = 0
+    for step in STEPS:  # listed in order by proof_chain's docstring
+        at = sqkd.proof_chain.__doc__.index(step, at) + len(step)

@@ -550,6 +550,22 @@ def test_gram_matrix_gives_the_kernel_figures(attack):
     assert abs(np.trace(gram) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_holevo_is_concave_in_the_gram_matrix(seed):
+    # the blocks sqrt(lam) b_1 and sqrt(1 - lam) b_2 side by side on a d_1 + d_2 ancilla
+    # have the Gram matrix lam Gamma_1 + (1 - lam) Gamma_2: Eve runs one of two attacks
+    # and flags which in her ancilla
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        first, second = (_evaluate_attack(random_attack(int(rng.integers(1, 5)), rng)) for _ in range(2))
+        lam = rng.random()
+        branches = np.concatenate([np.sqrt(lam) * first.branches, np.sqrt(1.0 - lam) * second.branches], axis=-1)
+        mixed = dataclasses.replace(first, branches=branches, p_a=lam * first.p_a + (1.0 - lam) * second.p_a)
+        gram = lam * _gram(first.branches) + (1.0 - lam) * _gram(second.branches)
+        assert np.abs(_gram(branches) - gram).max() <= 1e-15
+        assert _holevo(mixed)[0] >= lam * _holevo(first)[0] + (1.0 - lam) * _holevo(second)[0] - 1e-12
+
+
 def test_holevo_identical_states():
     # the identity attack leaves Eve's ancilla in omega whatever Alice reads
     assert holevo_bound(named_attack("identity")) <= 1e-12

@@ -10,7 +10,6 @@ from sqkd.info import mutual_information
 from sqkd.povm import povm_from_factors
 from sqkd.protocol import ctrl_error, eve_information, sift_branch
 from sqkd.suites import (
-    _ONE_SIDED,
     SUITE_NAMES,
     SUITES,
     _draw_lemma2,
@@ -105,7 +104,7 @@ def test_batched_suite_matches_public_functions(suite, tmp_path, capsys):
     for name in reference[0]:
         want = [r[name] for r in reference]
         if name == "step":
-            assert [_ONE_SIDED[i] for i in figures["step"]] == want
+            assert figures["step"].tolist() == want
         else:
             assert np.max(np.abs(figures[name] - np.array(want))) <= 1e-12, name
     slacks = np.array([r["slack"] for r in reference])
@@ -240,6 +239,21 @@ def test_suite_memory_is_bounded_by_the_window():
                 tracemalloc.stop()
         assert peaks[1] <= 1.15 * peaks[0], (suite, peaks)
         assert peaks[2] <= 1.25 * peaks[1], (suite, peaks)
+
+
+def test_a_group_that_fails_only_as_a_group_raises_its_own_error(monkeypatch):
+    draw, evaluate, *rest = SUITES["lemma2"]
+    error = ValueError("fails only with other trials")
+
+    def together(key, draws):
+        if len(draws) > 1:
+            raise error
+        return evaluate(key, draws)
+
+    monkeypatch.setitem(SUITES, "lemma2", (draw, together, *rest))
+    with pytest.raises(ValueError) as raised:
+        run_suite("lemma2", 200, 3)
+    assert raised.value is error
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
