@@ -1,25 +1,30 @@
 """Seeded randomized verification suites.
 
-Trial k of a suite draws its instance from the child seed named by k,
-SeedSequence(seed, spawn_key=(k,)), the k-th child that
+Trial k of a suite draws its instance from the generator that the child
+seed SeedSequence(seed, spawn_key=(k,)) would seed, the k-th child that
 SeedSequence(seed).spawn would give, so a (suite, trials, seed) triple is
 fully reproducible and any worst instance can be regenerated from its
-trial index.  A trial seeds one generator from its child, draws its
-shape from it and then every other number of the trial in one block of
-standard normals.
+trial index: sample_theorem_instance still takes that SeedSequence.  A
+trial seeds one generator from its child, draws its shape from it and
+then every other number of the trial in one block of standard normals.
 
-Trials are drawn one window of _WINDOW (1024) at a time and grouped by
-shape (ancilla dimension d and outcome count m) as they are drawn.  Each
-group of a window is then built, validated and evaluated in one call of
-the stacked kernel, the kernel that the scalar functions of `protocol`
-and `tradeoff` run on stacks of one.  The complex arrays are sliced out
-of a group's stacked normal blocks, not built per trial.
+Trials are drawn one window of _WINDOW (1024) at a time.  A window
+derives the PCG64 seed words of all its children in one vectorized pass
+of SeedSequence's own hash (_child_states), checks its first child's
+words against numpy's SeedSequence, and hands each trial a stand-in
+child that returns its words.  Trials are grouped by shape (ancilla
+dimension d and outcome count m) as they are drawn.  Each group of a
+window is then built, validated and evaluated in one call of the stacked
+kernel, the kernel that the scalar functions of `protocol` and `tradeoff`
+run on stacks of one.  The complex arrays are sliced out of a group's
+stacked normal blocks, not built per trial.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg
 from .info import mutual_information
@@ -28,6 +33,13 @@ from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, check_attacks
 from .tradeoff import SLACK_TOL, _assess, _overlap_slack, _proof_chain, _worst_step, fidelity_information_bound
 
 _WINDOW = 1024  # trials drawn and grouped by shape together; bounds the draws held at once and the stacks
+
+# the constants of SeedSequence's hash (numpy/random/bit_generator.pyx), which _child_states replays
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
 
 
 @dataclass
@@ -51,6 +63,60 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+
+def _child_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words (stop - start, 4) of the children start..stop-1 of
+    SeedSequence(seed): row i is what SeedSequence(seed, spawn_key=(start + i,))
+    .generate_state(4, np.uint64) gives, for k < 2**32.  The hash runs on the
+    seed's words as Python ints masked to 32 bits, then on uint32 arrays over k."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # a spawned SeedSequence pads its run entropy with zeros to the pool size
+    entropy = [*words, *[0] * (_POOL - len(words)), np.arange(start, stop, dtype=np.uint32)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:  # the words beyond the pool, k last
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): 8 uint32 words cycled from the pool, paired little-endian
+    const, state = _INIT_B, np.empty((stop - start, 2 * _POOL), dtype=np.uint32)
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ value >> 16
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
+
+
+class _Child(ISeedSequence):
+    """Child k of a suite's root seed where a trial seeds its generator: it
+    stands in for SeedSequence(seed, spawn_key=(k,)) by returning the PCG64
+    seed words that _child_states derived for it."""
+
+    def __init__(self, k: int, state: np.ndarray):
+        self.spawn_key = (k,)
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:  # the one request PCG64 makes
+            raise ValueError(f"child {self.spawn_key[0]} holds 4 uint64 words, not {n_words} {dtype}")
+        return self._state
 
 
 def _random_joint(rng) -> np.ndarray:
@@ -171,9 +237,16 @@ def _suite_figures(suite: str, trials: int, seed: int) -> dict:
     draw, evaluate, _, _ = SUITES[suite]
     figures = {}
     for start in range(0, trials, _WINDOW):
+        stop = min(start + _WINDOW, trials)
+        states = _child_states(seed, start, stop)
+        want = np.random.SeedSequence(seed, spawn_key=(start,)).generate_state(4, np.uint64)
+        if not np.array_equal(states[0], want):
+            raise ArithmeticError(
+                f"child seed routes disagree at trial {start}: {states[0].tolist()} vs numpy's {want.tolist()}"
+            )
         groups = {}  # a fresh dict, so that the last window's draws go before this one's are made
-        for k in range(start, min(start + _WINDOW, trials)):
-            key, g = draw(np.random.SeedSequence(seed, spawn_key=(k,)))
+        for k, state in zip(range(start, stop), states):
+            key, g = draw(_Child(k, state))
             rows, group = groups.setdefault(key, ([], []))
             rows.append(k)
             group.append(g)
@@ -198,12 +271,21 @@ def _first_failure(suite: str, evaluate, key, group: list, rows) -> ValueError |
     return None
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value as an int, if it is an integer (a numpy one too, not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def run_suite(suite: str, trials: int, seed: int) -> SuiteResult:
     """Run one named suite and aggregate violations deterministically."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _integer("trials", trials, 1)
+    seed = _integer("seed", seed, 0)
     _, _, max_field, max_limit = SUITES[suite]
     figures = _suite_figures(suite, trials, seed)
     slacks = figures["slack"]

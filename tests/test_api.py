@@ -5,6 +5,8 @@ instead of crashing a benchmark run."""
 import numpy as np
 
 import sqkd
+import sqkd.cli  # noqa: F401  the two modules sqkd does not import itself, imported as bench/run.py does
+import sqkd.serialize  # noqa: F401
 from sqkd.tradeoff import _EQUALITIES, STEPS
 
 PUBLIC_NAMES = {

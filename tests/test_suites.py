@@ -12,6 +12,8 @@ from sqkd.protocol import ctrl_error, eve_information, sift_branch
 from sqkd.suites import (
     SUITE_NAMES,
     SUITES,
+    _Child,
+    _child_states,
     _draw_lemma2,
     _draw_theorem,
     _lemma2_figures,
@@ -67,6 +69,66 @@ def test_run_suite_rejects_bad_args():
         run_suite("nope", 10, 0)
     with pytest.raises(ValueError):
         run_suite("lemma1", 0, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "5", None])
+def test_run_suite_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be"):
+        run_suite("lemma2", 5, seed)
+
+
+@pytest.mark.parametrize("trials", [-3, 1.5, True, np.float64(4.0)])
+def test_run_suite_rejects_a_trial_count_that_is_not_a_positive_integer(trials):
+    with pytest.raises(ValueError, match="^trials must be"):
+        run_suite("lemma2", trials, 5)
+
+
+def test_run_suite_takes_numpy_integers_as_python_ints():
+    for suite in ("lemma2", "theorem"):
+        want = run_suite(suite, 30, 5)
+        got = run_suite(suite, np.int32(30), np.int64(5))
+        assert got == want
+        assert type(got.seed) is int and type(got.trials) is int
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+def test_child_states_are_numpys_child_seed_words(seed):
+    # 2**130 + 7 has five entropy words, one beyond the pool; k crosses 1023/1024 and 2047/2048
+    want = np.array([np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+                     for k in range(2101)])
+    assert np.array_equal(_child_states(seed, 0, 2101), want)
+    windows = [_child_states(seed, start, min(start + 1024, 2101)) for start in (0, 1024, 2048)]
+    assert np.array_equal(np.concatenate(windows), want)
+    assert np.array_equal(_child_states(seed, 1023, 1025), want[1023:1025])
+    rng = np.random.default_rng(_Child(2047, windows[1][-1]))
+    assert np.array_equal(rng.standard_normal(8),
+                          np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2047,))).standard_normal(8))
+    with pytest.raises(ValueError, match="^child 2047 holds 4 uint64 words"):
+        _Child(2047, windows[1][-1]).generate_state(4)
+
+
+def test_a_corrupted_child_seed_word_fails_its_window_check(monkeypatch):
+    derive = _child_states
+
+    def corrupted(seed, start, stop):
+        states = derive(seed, start, stop)
+        if start == 1024:  # the second window's first child
+            states[0, 2] ^= np.uint64(1 << 40)
+        return states
+
+    monkeypatch.setattr(suites, "_child_states", corrupted)
+    with pytest.raises(ArithmeticError, match="^child seed routes disagree at trial 1024: "):
+        run_suite("lemma2", 1100, 0)
+
+
+def test_lemma2_across_three_windows_matches_the_per_child_route():
+    trials, seed = 2100, 6
+    result = run_suite("lemma2", trials, seed)
+    slacks = np.array([reference_figures("lemma2", child)["slack"]
+                       for child in np.random.SeedSequence(seed).spawn(trials)])
+    worst = int(np.argmin(slacks))
+    assert (result.worst_trial, result.min_slack) == (worst, slacks[worst])
+    assert result.violations == int((slacks < SLACK_TOL).sum())
 
 
 def reference_figures(suite: str, child) -> dict:
