@@ -1,7 +1,8 @@
 """Command-line harness: run, sweep, verify.
 
 Exit codes: 0 success / no violation, 1 a bound violation was found,
-2 input error.  Identical (command, flags, seed) invocations produce
+2 input error, 3 an internal cross-check failed (two independent routes
+to one quantity disagree, an ArithmeticError).  Identical (command, flags, seed) invocations produce
 byte-identical output; no timestamps or machine state enter any
 document.
 """
@@ -198,6 +199,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a fault of sqkd, not of the input, and not a violation either
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

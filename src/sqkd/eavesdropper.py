@@ -49,7 +49,7 @@ from numbers import Integral
 import numpy as np
 
 from . import linalg
-from .info import ZERO_PROB, _clean_probabilities, _entropy_bits, mutual_information
+from .info import ZERO_PROB, _clean_probabilities, _entropy_bits, _mutual_information
 from .povm import Povm, rank_one_elements
 from .protocol import AttackModel, _evaluate_attack, _Evaluation, _gram, _joint_table
 
@@ -216,7 +216,7 @@ def _accessible_information(ev: _Evaluation, cfg: OptimizerConfig | None = None)
     # argmax takes the lower start on ties
     elements = rank_one_elements(v.reshape(n, r, d, -1)[np.arange(n), np.argmax(info, axis=1)])
     # the reported value always comes from the full dual-route evaluation
-    achieved = mutual_information(_joint_table(ev, elements))
+    achieved = _mutual_information(_joint_table(ev, elements))
     return [AccessibleInfoResult(float(achieved[k]), Povm(elements[k]), stop_reasons[k * r:(k + 1) * r],
                                  info[k].tolist(), steps[k].tolist()) for k in range(n)]
 

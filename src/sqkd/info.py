@@ -47,12 +47,16 @@ def mutual_information(table):
     entropies come from one exact distribution.  The result is clamped to
     [0, inf); a value below -1e-12 indicates an invalid table and raises.
     """
-    t = validate_joint(table)
+    mi = _mutual_information(validate_joint(table))
+    return float(mi) if mi.ndim == 0 else mi
+
+
+def _mutual_information(t: np.ndarray) -> np.ndarray:
+    """mutual_information of tables that validate_joint has already cleaned, as an array."""
     t = t / t.sum(axis=(-2, -1), keepdims=True)
     # the marginals of a validated table are valid distributions already
     mi = _entropy_bits(t.sum(axis=-1), -1) + _entropy_bits(t.sum(axis=-2), -1) - _entropy_bits(t, (-2, -1))
     if np.any(mi < -NEG_PROB_TOL):
         raise ValueError(f"mutual information came out significantly negative ({np.min(mi):.3e})")
-    mi = np.maximum(mi, 0.0)
-    return float(mi) if mi.ndim == 0 else mi
+    return np.maximum(mi, 0.0)
 

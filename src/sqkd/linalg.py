@@ -64,7 +64,8 @@ def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
     """
     q, r = np.linalg.qr(g / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

@@ -14,10 +14,13 @@ stacked matmul or an einsum.  Of the kernel, only `_evaluate` sees V, U
 and psi: it hands on the qubit blocks of U psi and of the branch pair
 U Z_z psi, and the proof chain reads C_0 psi and U psi from those.
 A sweep evaluates each chunk of its grid (the chunk size is `cli`'s) in
-one stack, a suite each (d, m) group of a window of draws, and every
-public function here is the kernel on a stack of one.
+one stack, a suite the attacks of each ancilla dimension d of a window of
+draws, and every public function here is the kernel on a stack of one.
+A suite then reads the rows of each POVM shape out of that one evaluation
+(_Evaluation.rows).
 """
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -113,6 +116,10 @@ class _Evaluation:
     p_b_given_a: np.ndarray
     p_sift: np.ndarray
     degenerate: np.ndarray
+
+    def rows(self, index) -> "_Evaluation":
+        """The evaluation of the instances `index` (positions in the stack) alone."""
+        return _Evaluation(*(getattr(self, f.name)[index] for f in dataclasses.fields(self)))
 
     def sift(self, n: int) -> SiftOutcome:
         """The SIFT branch of instance n."""
@@ -225,22 +232,25 @@ def _z_projectors(d: int) -> np.ndarray:
 
 
 def _sift_error_operator(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sift_error_operator for stacks psi (N, 2d) and u (N, 2d, 2d), with
-    the projector matrices applied to the whole stack."""
+    """sift_error_operator for stacks psi (N, 2d) and u (N, 2d, 2d): the
+    explicit projector matrices and U^dag are applied to psi right to left,
+    one matrix-vector product at a time."""
     z = _z_projectors(psi.shape[-1] // 2)
     udag = linalg.dagger(u)
+    ket = psi[..., None]
     total = 0.0
     for zz in (0, 1):
-        m = z[zz] @ udag @ z[1 - zz] @ u @ z[zz]
-        total = total + (psi.conj()[:, None, :] @ (m @ psi[..., None]))[:, 0, 0].real
+        image = z[zz] @ (udag @ (z[1 - zz] @ (u @ (z[zz] @ ket))))
+        total = total + (psi.conj()[:, None, :] @ image)[:, 0, 0].real
     return linalg.clamp_probability(total, "P_SIFT (operator form)")
 
 
 def sift_error_operator(attack: AttackModel) -> float:
     """P_SIFT via the operator identity
     <Psi| Z_0 U^dag Z_1 U Z_0 |Psi> + <Psi| Z_1 U^dag Z_0 U Z_1 |Psi>,
-    evaluated with explicit projector matrices (independent of the
-    branch bookkeeping in sift_branch)."""
+    evaluated with explicit projector matrices and an explicit U^dag,
+    applied to |Psi> right to left (independent of the branch
+    bookkeeping in sift_branch)."""
     psi = _prepared_states(attack.omega[None], attack.v[None])
     return float(_sift_error_operator(psi, attack.u[None])[0])
 

@@ -12,14 +12,24 @@ Trials are drawn one window of _WINDOW (1024) at a time.  A window
 derives the PCG64 seed words of all its children in one vectorized pass
 of SeedSequence's own hash (_child_states), checks its first child's
 words against numpy's SeedSequence, and hands each trial a stand-in
-child that returns its words.  Trials are grouped by shape (ancilla
-dimension d and outcome count m) as they are drawn.  Each group of a
-window is then built, validated and evaluated in one call of the stacked
-kernel, the kernel that the scalar functions of `protocol` and `tradeoff`
-run on stacks of one.  The complex arrays are sliced out of a group's
-stacked normal blocks, not built per trial.
+child that returns its words.  Trials are grouped as they are drawn,
+and each group of a window is built, validated and evaluated in one call
+of the stacked kernel, the kernel that the scalar functions of `protocol`
+and `tradeoff` run on stacks of one.  The complex arrays are sliced out
+of a group's stacked normal blocks, not built per trial.
+
+lemma1 and lemma2 group their trials by shape.  theorem and proof-chain
+group theirs by ancilla dimension d alone and evaluate a group in two
+halves.  The attack half runs once per (window, d): V and U from the
+Ginibre heads of the draws, their checks, the protocol evaluation and
+the trade-off bounds.  The POVM half runs per outcome count m within
+that d: the elements and their checks, then the joint tables, I(A:E)
+and, for proof-chain, the derivation chain, on that (d, m)'s rows of
+the evaluation.  sample_theorem_instance builds its instance from the
+same two halves' helpers.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,12 +37,19 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg
-from .info import mutual_information
+from .info import _mutual_information, mutual_information
 from .povm import Povm, check_elements, elements_from_factors
-from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, check_attacks
-from .tradeoff import SLACK_TOL, _assess, _overlap_slack, _proof_chain, _worst_step, fidelity_information_bound
+from .protocol import CROSS_CHECK_TOL, AttackModel, _evaluate, _joint_table, check_attacks
+from .tradeoff import (
+    SLACK_TOL,
+    _overlap_slack,
+    _proof_chain,
+    _worst_step,
+    fidelity_information_bound,
+    tradeoff_bound,
+)
 
-_WINDOW = 1024  # trials drawn and grouped by shape together; bounds the draws held at once and the stacks
+_WINDOW = 1024  # trials drawn and grouped together; bounds the draws held at once and the stacks
 
 # the constants of SeedSequence's hash (numpy/random/bit_generator.pyx), which _child_states replays
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -149,19 +166,40 @@ def _draw_theorem(child) -> tuple:
     return (d, m), rng.standard_normal(16 * d * d + 2 * m * d * d)
 
 
-def _theorem_stack(key, draws: list) -> tuple:
-    """Validated omega, V, U and POVM elements of a group of theorem draws:
-    Haar V and U from the Ginibre pairs (omega = |0>), POVMs from the factors."""
-    d, m = key
-    ginibre_vu, factors = _unpack(np.stack(draws), (2, 2 * d, 2 * d), (m, d, d))
-    vu = linalg.haar_from_ginibre(ginibre_vu)
-    omega = np.zeros((len(draws), d), dtype=complex)
+def _haar(block: np.ndarray, dim: int) -> np.ndarray:
+    """Haar unitaries (N, dim, dim) from the Ginibre normals (N, 2 dim^2) of a stack of draws."""
+    g, = _unpack(block, (1, dim, dim))
+    return linalg.haar_from_ginibre(g[:, 0])
+
+
+def _attack_stack(d: int, heads: np.ndarray) -> tuple:
+    """Validated omega (= |0>), V and U of theorem draws from the Ginibre
+    heads (N, 16 d^2) of their blocks: Haar V, then U, one stack at a time,
+    so that V's QR temporaries are gone before U's are made."""
+    half = 8 * d * d
+    v, u = _haar(heads[:, :half], 2 * d), _haar(heads[:, half:], 2 * d)
+    omega = np.zeros((len(heads), d), dtype=complex)
     omega[:, 0] = 1.0
-    v, u = vu[:, 0], vu[:, 1]
     check_attacks(d, omega, v, u)
+    return omega, v, u
+
+
+def _povm_stack(d: int, m: int, tails: np.ndarray) -> np.ndarray:
+    """Validated POVM elements (N, m, d, d) of theorem draws from the
+    factor normals (N, 2 m d^2) that follow their heads."""
+    factors, = _unpack(tails, (m, d, d))
     elements = elements_from_factors(factors)
     check_elements(elements)
-    return omega, v, u, elements
+    return elements
+
+
+def _theorem_stack(key, draws: list) -> tuple:
+    """Validated omega, V, U and POVM elements of a group of theorem draws
+    of one shape (d, m), through the two helpers the suites use."""
+    d, m = key
+    g = np.stack(draws)
+    head = 16 * d * d
+    return (*_attack_stack(d, g[:, :head]), _povm_stack(d, m, g[:, head:]))
 
 
 def sample_theorem_instance(child: np.random.SeedSequence) -> tuple[AttackModel, Povm]:
@@ -172,21 +210,43 @@ def sample_theorem_instance(child: np.random.SeedSequence) -> tuple[AttackModel,
     return AttackModel(key[0], omega[0], v[0], u[0]), Povm(elements[0])
 
 
-def _theorem_batch(key, draws) -> tuple:
-    omega, v, u, elements = _theorem_stack(key, draws)
-    ev = _evaluate(omega, v, u)
-    return (ev, elements, *_assess(ev, elements))
+def _draw_by_dimension(child) -> tuple:
+    """_draw_theorem's draws keyed by the ancilla dimension d alone, so that
+    a window evaluates the attacks of each d together."""
+    (d, _), g = _draw_theorem(child)
+    return d, g
 
 
-def _theorem_figures(key, draws) -> dict:
-    _, _, _, info, rhs = _theorem_batch(key, draws)
+def _by_dimension(figures, d: int, draws: list) -> dict:
+    """Named per-trial figures of a group of theorem draws of one ancilla
+    dimension d.  The attack half runs once on the whole group: V and U
+    from the Ginibre heads of the draws, their evaluation and trade-off
+    bounds.  The POVM half runs once per outcome count m: the elements of
+    that m's draws and figures(ev, elements, rhs) on its rows alone."""
+    head = 16 * d * d
+    ev = _evaluate(*_attack_stack(d, np.stack([g[:head] for g in draws])))
+    rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    subgroups = {}  # by block length 16 d^2 + 2 m d^2, which gives m
+    for i, g in enumerate(draws):
+        subgroups.setdefault(len(g), []).append(i)
+    results = {}
+    for size, rows in subgroups.items():
+        elements = _povm_stack(d, (size - head) // (2 * d * d), np.stack([draws[i][head:] for i in rows]))
+        for name, values in figures(ev.rows(rows), elements, rhs[rows]).items():
+            results.setdefault(name, np.empty(len(draws), dtype=values.dtype))[rows] = values
+    return results
+
+
+def _theorem_figures(ev, elements, rhs) -> dict:
+    info = _mutual_information(_joint_table(ev, elements))
     ratio = np.zeros_like(rhs)
     np.divide(info, rhs, out=ratio, where=rhs > 1e-15)
     return {"slack": rhs - info, "max_info_ratio": ratio, "rhs": rhs}
 
 
-def _proof_chain_figures(key, draws) -> dict:
-    ev, elements, joint, info, rhs = _theorem_batch(key, draws)
+def _proof_chain_figures(ev, elements, rhs) -> dict:
+    joint = _joint_table(ev, elements)
+    info = _mutual_information(joint)
     slack, step, residual = _worst_step(_proof_chain(ev, elements, joint, info, rhs).step_slacks)
     return {"slack": slack, "max_equality_residual": residual, "rhs": rhs, "step": step}
 
@@ -219,15 +279,16 @@ def _lemma2_figures(key, draws) -> dict:
     return {"slack": _overlap_slack(phi[:, 0], phi[:, 1], x[:, 0], elements)}
 
 
-# suite name -> (per-trial draw returning (shape key, draws), evaluation of a
+# suite name -> (per-trial draw returning (group key, draws), evaluation of a
 # group of same-key draws returning named per-trial figures, the figure and
 # SuiteResult field reporting its maximum, the largest it may be without a
 # violation); every evaluation returns the trial's "slack"
 SUITES = {
     "lemma1": (_draw_lemma1, _lemma1_figures, None, None),
     "lemma2": (_draw_lemma2, _lemma2_figures, None, None),
-    "theorem": (_draw_theorem, _theorem_figures, "max_info_ratio", np.inf),
-    "proof-chain": (_draw_theorem, _proof_chain_figures, "max_equality_residual", CROSS_CHECK_TOL),
+    "theorem": (_draw_by_dimension, functools.partial(_by_dimension, _theorem_figures), "max_info_ratio", np.inf),
+    "proof-chain": (_draw_by_dimension, functools.partial(_by_dimension, _proof_chain_figures),
+                    "max_equality_residual", CROSS_CHECK_TOL),
 }
 SUITE_NAMES = tuple(SUITES)
 

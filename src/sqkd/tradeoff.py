@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .info import mutual_information, validate_joint
+from .info import _mutual_information, validate_joint
 from .povm import Povm
 from .protocol import (
     AttackModel,
@@ -109,9 +109,10 @@ def fidelity_information_bound(table):
 
 def _assess(ev: _Evaluation, elements: np.ndarray) -> tuple:
     """Joint tables (N, 2, m), I(A:E) (N,) and trade-off bounds (N,) of a
-    stack of evaluated attacks and their POVM elements (N, m, d, d)."""
+    stack of evaluated attacks and their POVM elements (N, m, d, d); the
+    tables are validated once, by _joint_table."""
     joint = _joint_table(ev, elements)
-    return joint, mutual_information(joint), tradeoff_bound(ev.p_ctrl, ev.p_sift)
+    return joint, _mutual_information(joint), tradeoff_bound(ev.p_ctrl, ev.p_sift)
 
 
 def _verdict(info, rhs) -> tuple:

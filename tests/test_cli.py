@@ -195,6 +195,35 @@ def test_bad_arguments_exit_two_naming_the_cause(capsys, argv, error):
     assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "theorem", "--trials", "5"],
+    ["verify", "--suite", "proof-chain", "--trials", "5"],
+    ["run", "--attack", "forward-cnot"],
+    ["sweep", "--family", "partial-return-cz", "--param", "theta=0:1:3"],
+], ids=["verify-theorem", "verify-proof-chain", "run", "sweep"])
+def test_a_failed_cross_check_exits_three_naming_the_routes(capsys, monkeypatch, argv):
+    # two routes to P_SIFT that disagree are a fault of sqkd: neither a violation (1) nor an input error (2)
+    operator_route = protocol._sift_error_operator
+    monkeypatch.setattr(protocol, "_sift_error_operator", lambda psi, u: operator_route(psi, u) + 1e-9)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: P_SIFT routes disagree: defining sum ") and err.count("\n") == 1
+    assert "vs operator form " in err
+
+
+def test_a_failed_joint_table_cross_check_exits_three(capsys, monkeypatch):
+    evaluate = protocol._evaluate
+
+    def perturbed(*stacks):
+        ev = evaluate(*stacks)
+        return dataclasses.replace(ev, rho_eve=ev.rho_eve + 1e-9 * np.eye(ev.rho_eve.shape[-1]))
+
+    monkeypatch.setattr(protocol, "_evaluate", perturbed)
+    code, out, err = run_cli(capsys, "run", "--attack", "forward-cnot", "--povm", "z")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: joint-distribution routes disagree at (z=0, e=0): ")
+
+
 def test_run_rejects_a_near_unitary_attack_naming_the_failed_clamp(capsys, tmp_path):
     # U = (1 + 4e-11) X passes the 1e-10 unitarity check but pushes P(z_B|z) past 1 + 1e-12
     x = np.array([[0, 1], [1, 0]])

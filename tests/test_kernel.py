@@ -4,6 +4,8 @@ Every kernel call on a stack of N same-shape instances must give, for each
 instance, exactly what the public scalar functions give for it alone.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,3 +136,28 @@ def test_stack_matches_stacks_of_one(seed, d, n, m):
         assert (report.info, report.rhs) == (info[k], rhs[k])
         assert proof_chain(attack, eve).step_slacks == trace.instance(k).step_slacks
         assert sift_branch(attack).p_sift == ev.p_sift[k]
+
+
+def assert_same_evaluation(got, want):
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_one_stack_of_n_attacks_is_n_stacks_of_one(d):
+    rng = np.random.default_rng(40 + d)
+    attacks = [random_attack(d, rng) for _ in range(9)]
+    attacks[4] = degenerate_attack(d, rng)
+    ev = _evaluate(*stack(attacks))
+    for k, attack in enumerate(attacks):
+        assert_same_evaluation(ev.rows([k]), _evaluate(*stack([attack])))
+    assert ev.degenerate[4].tolist() == [False, True]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_a_row_selection_is_the_evaluation_of_those_rows_alone(d):
+    rng = np.random.default_rng(50 + d)
+    attacks = [random_attack(d, rng) for _ in range(12)]
+    ev = _evaluate(*stack(attacks))
+    for rows in ([0], [11, 3, 7], [2, 2, 5], list(range(0, 12, 2)), list(range(12))):
+        assert_same_evaluation(ev.rows(rows), _evaluate(*stack([attacks[k] for k in rows])))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqkd import linalg, protocol
-from sqkd.attacks import named_attack, random_attack
+from sqkd.attacks import FAMILIES, named_attack, random_attack
 from sqkd.povm import basis_povm, random_povm
 from sqkd.protocol import (
     AttackModel,
@@ -150,6 +150,35 @@ def test_z_projectors_are_the_qubit_projectors_lifted_by_the_identity(d):
     for zz in (0, 1):
         assert np.array_equal(z[zz], np.kron(np.diag([1 - zz, zz]), np.eye(d)))
     assert not z.flags.writeable
+
+
+def explicit_sift_operator(psi, u):
+    """<psi| (Z_0 U^dag Z_1 U Z_0 + Z_1 U^dag Z_0 U Z_1) |psi> with the operator multiplied out."""
+    d = len(psi) // 2
+    z = [np.kron(np.diag(np.eye(2)[zz]), np.eye(d)) for zz in (0, 1)]
+    udag = u.conj().T
+    operator = z[0] @ udag @ z[1] @ u @ z[0] + z[1] @ udag @ z[0] @ u @ z[1]
+    return np.vdot(psi, operator @ psi).real
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_operator_route_applies_the_explicit_operator_to_psi(d):
+    rng = np.random.default_rng(100 + d)
+    attacks = [random_attack(d, rng) for _ in range(20)]
+    omega, v, u = (np.stack([getattr(a, f) for a in attacks]) for f in ("omega", "v", "u"))
+    psi = protocol._prepared_states(omega, v)
+    got = protocol._sift_error_operator(psi, u)
+    want = [explicit_sift_operator(p, m) for p, m in zip(psi, u)]
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_operator_route_on_the_families(family):
+    omega, v, u = FAMILIES[family](np.linspace(0.0, np.pi / 2, 33))
+    psi = protocol._prepared_states(omega, v)
+    got = protocol._sift_error_operator(psi, u)
+    want = [explicit_sift_operator(p, m) for p, m in zip(psi, u)]
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_sift_operator_cross_check_random():

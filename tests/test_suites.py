@@ -287,6 +287,27 @@ def test_each_shape_group_of_a_window_is_one_evaluation(monkeypatch):
     assert calls == [1024, 76]
 
 
+@pytest.mark.parametrize("suite", ["theorem", "proof-chain"])
+def test_each_ancilla_dimension_of_a_window_is_one_attack_evaluation(suite, monkeypatch):
+    calls = []
+
+    def counted(omega, v, u):
+        calls.append(omega.shape)
+        return evaluate(omega, v, u)
+
+    evaluate = suites._evaluate
+    monkeypatch.setattr(suites, "_evaluate", counted)
+    figures = _suite_figures(suite, 1100, 4)
+    # every (window, d) pair of the 1100 draws, d in {2, 3, 4}: at most 6 evaluations
+    children = np.random.SeedSequence(4).spawn(1100)
+    dims = [_draw_theorem(child)[0][0] for child in children]
+    want = []
+    for window in (dims[:1024], dims[1024:]):
+        want += [(window.count(d), d) for d in dict.fromkeys(window)]
+    assert calls == want and len(calls) <= 6
+    assert len(figures["slack"]) == 1100
+
+
 def test_suite_memory_is_bounded_by_the_window():
     # the draws held at once are one window's, whatever the number of trials:
     # a second window adds none beside the first's, and more windows add only the figures
