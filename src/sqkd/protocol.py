@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .info import mutual_information, validate_joint
+from .info import _mutual_information, validate_joint
 from .povm import Povm
 
 DEGENERATE_BRANCH_TOL = 1e-12
@@ -277,4 +277,5 @@ def joint_distribution(attack: AttackModel, eve_povm: Povm) -> np.ndarray:
 
 def eve_information(attack: AttackModel, eve_povm: Povm) -> float:
     """Mutual information I(A:E) between Alice's bit and Eve's outcome."""
-    return mutual_information(joint_distribution(attack, eve_povm))
+    # joint_distribution has validated the table already
+    return float(_mutual_information(joint_distribution(attack, eve_povm)))

@@ -519,6 +519,23 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
+@pytest.mark.parametrize("suite", ["theorem", "proof-chain", "lemma2"])
+def test_verify_is_the_same_when_every_positivity_check_takes_the_eigenvalue_route(capsys, tmp_path, monkeypatch, suite):
+    argv = ["verify", "--suite", suite, "--trials", "1100", "--seed", "7", "--out"]
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "certified.json"))
+
+    def refuse(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(1) or eigvalsh(a, *args, **kw))
+    assert run_cli(capsys, *argv, str(tmp_path / "eigenvalues.json")) == (code, out, err)
+    assert calls
+    assert (tmp_path / "certified.json").read_bytes() == (tmp_path / "eigenvalues.json").read_bytes()
+    assert code == 0
+
+
 def test_verify_exit_one_on_violation(capsys, monkeypatch):
     # the suites themselves never fail honestly; force the counting path
     from sqkd import cli

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sqkd import linalg
 from sqkd.attacks import random_attack
-from sqkd.povm import DegeneracyError, Povm, check_elements, elements_from_factors, random_povm
+from sqkd.povm import DegeneracyError, Povm, basis_povm, check_elements, elements_from_factors, random_povm
 from sqkd.protocol import AttackModel, _evaluate, _evaluate_attack, joint_distribution, sift_branch
 from sqkd.tradeoff import SLACK_TOL, _assess, _proof_chain, proof_chain, verify_tradeoff
 
@@ -118,6 +118,23 @@ def test_povm_messages_name_the_offending_element():
     bad[1] = np.diag([1.0, -0.5])
     with pytest.raises(ValueError, match="^POVM element 1 is not positive"):
         check_elements(np.stack([good, good, bad, good]))
+
+
+def test_valid_povms_are_certified_without_eigenvalues(monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(1) or eigvalsh(a, *args, **kw))
+    rng = np.random.default_rng(31)
+    # the factor stacks of theorem (d 2-4, m 2-d^2) and lemma2 (d 1-4, m 1-6) groups
+    shapes = {(d, m) for d in (2, 3, 4) for m in range(2, d * d + 1)} | {(d, m) for d in (1, 2, 3, 4) for m in range(1, 7)}
+    for d, m in sorted(shapes):
+        for n in (1, 12):
+            check_elements(elements_from_factors(linalg.ginibre(rng, n * m, d).reshape(n, m, d, d)))
+    for d in (1, 2, 3, 4, 6):
+        for basis in ("z", "x"):
+            basis_povm(d, basis)
+        for m in (1, 3, d * d):
+            random_povm(d, m, rng)
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

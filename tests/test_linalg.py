@@ -66,6 +66,103 @@ def test_validity_checks():
         linalg.check_unitary(np.eye(2) * 1.1)
 
 
+def positive_reference(m) -> bool:
+    """Hermitian within 1e-10 with smallest eigenvalue >= -1e-10, decided
+    by the eigenvalues of the one matrix."""
+    if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
+        return False
+    return bool(np.linalg.eigvalsh(m)[0] >= -1e-10)
+
+
+def with_lowest_eigenvalue(d, lowest, rng):
+    """A Hermitian d x d matrix with eigenvalues lowest and the rest in [0.2, 1]."""
+    u = linalg.haar_unitary(d, rng)
+    m = (u * np.concatenate([[lowest], np.linspace(0.2, 1.0, d - 1)])) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(1) or eigvalsh(a, *args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_is_positive_at_the_tolerance_and_its_half(d, monkeypatch):
+    # the Cholesky certificate holds a margin of TOL / 2: at -TOL/2 (1 - 1%) it
+    # certifies, below -TOL/2 the eigenvalues decide, and both agree with them
+    rng = np.random.default_rng(d)
+    calls = count_eigvalsh(monkeypatch)
+    for scale, certified in ((0.99, False), (1.01, False), (0.495, True), (0.505, False)):
+        m = with_lowest_eigenvalue(d, -scale * linalg.TOL_POSITIVE, rng)
+        expected = positive_reference(m)
+        assert expected == (scale < 1.0)
+        calls.clear()
+        assert linalg.is_positive(m) is expected
+        assert not calls if certified else len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_is_positive_matches_the_eigenvalues_on_edge_cases(d, monkeypatch):
+    rng = np.random.default_rng(10 + d)
+    v = linalg.haar_unitary(d, rng)[:, 0]
+    nan = np.eye(d, dtype=complex) / 2
+    nan[d - 1, 0] = np.nan
+    cases = [np.zeros((d, d)), np.zeros((d, d), dtype=complex), np.outer(v, v.conj()), np.eye(d), nan]
+    for deviation in (0.99e-10, 1.01e-10):
+        m = np.eye(d, dtype=complex) / 2
+        if d == 1:
+            m[0, 0] += 0.5j * deviation
+        else:
+            m[0, d - 1] += deviation
+        cases.append(m)
+    cases.append(with_lowest_eigenvalue(d, -0.2, rng))
+    expected = [positive_reference(m) for m in cases]
+    assert expected == [True, True, True, True, False, True, False, False]
+    calls = count_eigvalsh(monkeypatch)
+    decided = []
+    for m, flag in zip(cases, expected):
+        calls.clear()
+        assert linalg.is_positive(m) is flag  # a 2-D input gives a bool
+        decided.append(len(calls))
+    # the eigenvalues decide only what the Cholesky certificate does not pass
+    assert decided == [0, 0, 0, 0, 1, 0, 1, 1]
+    assert np.array_equal(linalg.is_positive(np.stack(cases)), expected)
+
+
+def test_is_positive_leaves_large_matrices_to_the_eigenvalues():
+    # at norm 1e6 the Cholesky backward error exceeds the TOL / 2 margin and the
+    # factorization passes matrices whose eigenvalues fail
+    u = linalg.haar_from_ginibre(linalg.ginibre(np.random.default_rng(6), 300, 2))
+    mats = (u * np.array([-0.6e-10, 1e6])) @ linalg.dagger(u)
+    mats = (mats + linalg.dagger(mats)) / 2
+    shifted = mats + linalg.TOL_POSITIVE / 2 * np.eye(2)
+
+    def factors(m):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    expected = [positive_reference(m) for m in mats]
+    assert any(factors(m) and not flag for m, flag in zip(shifted, expected))
+    assert [linalg.is_positive(m) for m in mats] == expected
+
+
+def test_a_long_stack_flags_only_its_bad_matrix(monkeypatch):
+    rng = np.random.default_rng(1000)
+    v = linalg.haar_from_ginibre(linalg.ginibre(rng, 1000, 3))
+    stack = v * rng.uniform(0.0, 1.0, (1000, 1, 3)) @ linalg.dagger(v)
+    stack = (stack + linalg.dagger(stack)) / 2
+    stack[-1] = with_lowest_eigenvalue(3, -1.01e-10, rng)
+    calls = count_eigvalsh(monkeypatch)
+    flags = linalg.is_positive(stack)
+    assert calls == [1]
+    assert flags.shape == (1000,) and np.array_equal(np.nonzero(~flags)[0], [999])
+    assert np.array_equal(flags, [positive_reference(m) for m in stack])
+
+
 def test_clamp_probability():
     assert linalg.clamp_probability(-1e-13) == 0.0
     assert linalg.clamp_probability(1.0 + 1e-13) == 1.0

@@ -259,6 +259,29 @@ def test_eve_information_bounded_by_alice_entropy():
         assert eve_information(attack, eve) <= h_a + 1e-9
 
 
+def test_eve_information_validates_its_joint_table_once(monkeypatch):
+    from sqkd import info
+    from sqkd.info import mutual_information, validate_joint
+
+    rng = np.random.default_rng(30)
+    cases = [(random_attack(d, rng), random_povm(d, m, rng)) for d in (1, 2, 3, 4) for m in (1, 2, 5)]
+    cases.append((named_attack("forward-cnot"), basis_povm(2, "z")))
+    expected = [mutual_information(joint_distribution(attack, eve)) for attack, eve in cases]
+    calls = []
+
+    def counted(table):
+        calls.append(1)
+        return validate_joint(table)
+
+    monkeypatch.setattr(protocol, "validate_joint", counted)
+    monkeypatch.setattr(info, "validate_joint", counted)
+    for (attack, eve), value in zip(cases, expected):
+        calls.clear()
+        result = eve_information(attack, eve)
+        assert type(result) is float and result == value
+        assert len(calls) == 1
+
+
 def test_joint_raises_when_conditional_route_disagrees(monkeypatch):
     evaluate = protocol._evaluate
 
