@@ -49,9 +49,9 @@ from numbers import Integral
 import numpy as np
 
 from . import linalg
-from .info import ZERO_PROB, _clean_probabilities, _entropy_bits, _mutual_information
+from .info import PROB_SUM_TOL, ZERO_PROB, _clean_probabilities, _entropy_bits, _mutual_information
 from .povm import Povm, rank_one_elements
-from .protocol import AttackModel, _evaluate_attack, _Evaluation, _gram, _joint_table
+from .protocol import AttackModel, _accepted_mass_deviation, _evaluate_attack, _Evaluation, _gram, _joint_table
 
 FLAT_GAIN = 1e-12  # bits: a kept step that gains less ends the start
 MIN_STEP = 1e-12  # eps below this ends the start
@@ -235,9 +235,14 @@ def _holevo(ev: _Evaluation) -> np.ndarray:
     """chi (N,) of every instance of an evaluated stack; each spectrum and p_a is validated."""
     gram = _gram(ev.branches)
     blocks = np.moveaxis(gram.reshape(-1, 2, 2, 2, 2).diagonal(axis1=1, axis2=3), -1, 1)  # Gamma_00, Gamma_11
-    s_all, h_a, s_blocks = (_entropy_bits(_clean_probabilities(p, name, -1), -1) for p, name in (
-        (np.linalg.eigvalsh(gram), "spectrum of Gamma"), (ev.p_a, "p_a"),
-        (np.linalg.eigvalsh(blocks).reshape(-1, 4), "spectra of Gamma_00 and Gamma_11")))
+    spectra = ((np.linalg.eigvalsh(gram), "spectrum of Gamma"), (ev.p_a, "p_a"),
+               (np.linalg.eigvalsh(blocks).reshape(-1, 4), "spectra of Gamma_00 and Gamma_11"))
+    try:
+        cleaned = [_clean_probabilities(p, name, -1) for p, name in spectra]
+    except ValueError:  # the totals are ||U psi||^2 and ||psi||^2, which an accepted attack moves
+        sum_tol = PROB_SUM_TOL + _accepted_mass_deviation(ev.branches.shape[-1])
+        cleaned = [_clean_probabilities(p, name, -1, sum_tol) for p, name in spectra]
+    s_all, h_a, s_blocks = (_entropy_bits(p, -1) for p in cleaned)
     return np.maximum(s_all + h_a - s_blocks, 0.0)
 
 

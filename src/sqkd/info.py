@@ -8,16 +8,18 @@ NEG_PROB_TOL = 1e-12
 ZERO_PROB = 1e-15
 
 
-def _clean_probabilities(p: np.ndarray, name: str, axis=None) -> np.ndarray:
-    """Clamp tiny negatives to 0 and check that each total over `axis` is 1."""
+def _clean_probabilities(p: np.ndarray, name: str, axis=None, sum_tol=PROB_SUM_TOL) -> np.ndarray:
+    """Clamp tiny negatives to 0 and check that each total over `axis` is 1
+    within sum_tol (PROB_SUM_TOL unless a caller widens it by a known input error)."""
     p = np.asarray(p, dtype=float)
     if p.size and p.min() < -NEG_PROB_TOL:
         raise ValueError(f"{name} has a negative entry: {p.min():.3e}")
     p = np.where(p < ZERO_PROB, 0.0, p)
     total = np.asarray(p.sum(axis=axis))
-    bad = ~(np.abs(total - 1.0) <= PROB_SUM_TOL)  # a NaN entry makes its total NaN and fails
+    bad = ~(np.abs(total - 1.0) <= sum_tol)  # a NaN entry makes its total NaN and fails
     if bad.any():
-        raise ValueError(f"{name} sums to {float(total[bad][0])!r}, expected 1 within {PROB_SUM_TOL}")
+        tol = float(np.broadcast_to(sum_tol, bad.shape)[bad][0])
+        raise ValueError(f"{name} sums to {float(total[bad][0])!r}, expected 1 within {tol:.6g}")
     return p
 
 
@@ -27,16 +29,17 @@ def _entropy_bits(p: np.ndarray, axis=None):
     return -(q * np.log2(q)).sum(axis=axis)
 
 
-def validate_joint(table) -> np.ndarray:
+def validate_joint(table, sum_tol=PROB_SUM_TOL) -> np.ndarray:
     """Validate and clean a joint probability table p(x, y) or a stack of them.
 
     Entries in [-1e-12, 0) are clamped to 0; the total of each table
-    must be 1 within 1e-9.  Returns the cleaned tables as a float array.
+    must be 1 within 1e-9 (or within sum_tol, per table of a stack).
+    Returns the cleaned tables as a float array.
     """
     t = np.asarray(table, dtype=float)
     if t.ndim not in (2, 3):
         raise ValueError(f"joint distribution must be a 2-D table or a stack of them, got shape {t.shape}")
-    return _clean_probabilities(t, "joint distribution", (-2, -1))
+    return _clean_probabilities(t, "joint distribution", (-2, -1), sum_tol)
 
 
 def mutual_information(table):

@@ -150,16 +150,17 @@ def _certified_positive(m: np.ndarray) -> bool:
     return True
 
 
-def clamp_probability(x, name: str = "value"):
+def clamp_probability(x, name: str = "value", tol: float = NEG_PROB_TOL):
     """Clamp a numerically noisy probability, or an array of them, into [0, 1].
 
-    Values within 1e-12 outside the interval are snapped to the boundary;
-    anything further out, and NaN, raises, naming the value as `name`.
-    A scalar comes back as a float.
+    Values within `tol` (1e-12 unless a caller has measured a larger input
+    error) outside the interval are snapped to the boundary; anything
+    further out, and NaN, raises, naming the value as `name`.  A scalar
+    comes back as a float.
     """
     p = np.asarray(x, dtype=float)
-    if not (p.min() >= -NEG_PROB_TOL and p.max() <= 1.0 + NEG_PROB_TOL):  # NaN fails too
-        bad = p[~((p >= -NEG_PROB_TOL) & (p <= 1.0 + NEG_PROB_TOL))]
-        raise ValueError(f"{name} {float(bad[0])!r} is not a probability up to tolerance {NEG_PROB_TOL}")
+    if not (p.min() >= -tol and p.max() <= 1.0 + tol):  # NaN fails too
+        bad = p[~((p >= -tol) & (p <= 1.0 + tol))]
+        raise ValueError(f"{name} {float(bad[0])!r} is not a probability up to tolerance {tol:.6g}")
     p = np.minimum(np.maximum(p, 0.0), 1.0)
     return float(p) if p.ndim == 0 else p

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .info import _mutual_information, validate_joint
+from .info import NEG_PROB_TOL, PROB_SUM_TOL, _mutual_information, validate_joint
 from .povm import Povm
 
 DEGENERATE_BRANCH_TOL = 1e-12
@@ -132,14 +132,28 @@ class _Evaluation:
         )
 
 
+def _accepted_deviation(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> float:
+    """How far the deviations of a stack of validated attacks from normalized
+    omega and unitary V and U, each accepted up to its tolerance, can move a
+    probability of the protocol: to first order, d' (dev_V + dev_U) + dev_omega,
+    with d' = 2d the joint dimension bounding M^dag M - 1 in operator norm by
+    d' times its largest entry."""
+    dev_omega = float(np.max(np.abs(_sq_norms(omega) - 1.0)))
+    return v.shape[-1] * (linalg.unitary_deviation(v) + linalg.unitary_deviation(u)) + dev_omega
+
+
 def _evaluate(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> _Evaluation:
     """Evaluate the CTRL and SIFT branches of a stack of validated attacks once.
 
     Eve's states and Bob's table come from the qubit blocks b_q of
     U Z_z psi: rho_eve[z] = sum_q b_q b_q^dag / p_a(z) and
-    p(z_B | z) = ||b_{z_B}||^2 / p_a(z).  A probability that fails its
-    clamp (a V or U accepted as unitary can still push one past 1 + 1e-12)
-    raises naming it and the largest deviation of V^dag V and U^dag U from 1.
+    p(z_B | z) = ||b_{z_B}||^2 / p_a(z).  Each probability is clamped
+    within 1e-12 of [0, 1].  A V or U accepted as unitary, or an omega
+    accepted as normalized, can push one further out; only when a clamp
+    fails are those deviations measured (_accepted_deviation), and the
+    clamps and the P_SIFT cross-check re-run, widened by them.  A
+    probability that fails even then raises naming it and the largest
+    deviation of V^dag V and U^dag U from 1.
     """
     n, d = omega.shape
     psi = _prepared_states(omega, v)
@@ -149,28 +163,43 @@ def _evaluate(omega: np.ndarray, v: np.ndarray, u: np.ndarray) -> _Evaluation:
     branches = np.stack(
         [(u[:, :, z * d:(z + 1) * d] @ halves[:, z, :, None])[..., 0] for z in (0, 1)], axis=1
     ).reshape(n, 2, 2, d)
-    try:
-        # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
-        p_ctrl = linalg.clamp_probability(_sq_norms(w[:, 0] - w[:, 1]) / 2.0, "P_CTRL")
-        p_a = linalg.clamp_probability(_sq_norms(halves), "p_a(z)")
+    # |-><-| (x) 1 acting on blocks: amplitude (w0 - w1)/sqrt(2)
+    raw_ctrl, raw_a, raw_b = _sq_norms(w[:, 0] - w[:, 1]) / 2.0, _sq_norms(halves), _sq_norms(branches)
+    raw_sift_op = _sift_error_operator(psi, u)
+
+    def clamped(tol: float) -> tuple:
+        p_ctrl = linalg.clamp_probability(raw_ctrl, "P_CTRL", tol)
+        p_a = linalg.clamp_probability(raw_a, "p_a(z)", tol)
         degenerate = p_a <= DEGENERATE_BRANCH_TOL
         scale = np.zeros_like(p_a)
         np.divide(1.0, p_a, out=scale, where=~degenerate)
-        p_b_given_a = linalg.clamp_probability(_sq_norms(branches) * scale[..., None], "P(z_B|z)")
+        p_b_given_a = linalg.clamp_probability(raw_b * scale[..., None], "P(z_B|z)", tol)
         p_sift = linalg.clamp_probability(p_b_given_a[:, 0, 1] * p_a[:, 0] + p_b_given_a[:, 1, 0] * p_a[:, 1],
-                                          "P_SIFT")
-        p_sift_op = _sift_error_operator(psi, u)
+                                          "P_SIFT", tol)
+        p_sift_op = linalg.clamp_probability(raw_sift_op, "P_SIFT (operator form)", tol)
+        return p_ctrl, p_a, degenerate, scale, p_b_given_a, p_sift, p_sift_op
+
+    tol = NEG_PROB_TOL
+    try:
+        p_ctrl, p_a, degenerate, scale, p_b_given_a, p_sift, p_sift_op = clamped(tol)
     except ValueError as exc:  # the deviations are computed only here, never on the path that passes
-        raise ValueError(f"{exc}; the attack's max deviation of M^dag M from 1 is "
-                         f"{linalg.unitary_deviation(v):.3e} for V and {linalg.unitary_deviation(u):.3e} "
-                         f"for U (each accepted up to {linalg.TOL_UNITARY})") from None
+        tol = NEG_PROB_TOL + _accepted_deviation(omega, v, u)
+        try:
+            p_ctrl, p_a, degenerate, scale, p_b_given_a, p_sift, p_sift_op = clamped(tol)
+        except ValueError:
+            raise ValueError(f"{exc}; the attack's max deviation of M^dag M from 1 is "
+                             f"{linalg.unitary_deviation(v):.3e} for V and {linalg.unitary_deviation(u):.3e} "
+                             f"for U (each accepted up to {linalg.TOL_UNITARY})") from None
     rho_eve = (np.swapaxes(branches, -1, -2) @ branches.conj()) * scale[..., None, None]
     off = np.abs(p_sift - p_sift_op) > CROSS_CHECK_TOL
     if off.any():
-        k = int(np.argmax(off))
-        raise ArithmeticError(
-            f"P_SIFT routes disagree: defining sum {float(p_sift[k])!r} vs operator form {float(p_sift_op[k])!r}"
-        )
+        if tol > NEG_PROB_TOL:  # widened clamps move a route by at most 3 tol: two P(z_B|z) and its own
+            off = np.abs(p_sift - p_sift_op) > CROSS_CHECK_TOL + 3 * tol
+        if off.any():
+            k = int(np.argmax(off))
+            raise ArithmeticError(
+                f"P_SIFT routes disagree: defining sum {float(p_sift[k])!r} vs operator form {float(p_sift_op[k])!r}"
+            )
     return _Evaluation(w, branches, p_ctrl, p_a, rho_eve, p_b_given_a, p_sift, degenerate)
 
 
@@ -192,9 +221,26 @@ def _lifted_expectations(vecs: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("n...qi,neij,n...qj->n...e", vecs.conj(), elements, vecs).real, 0.0)
 
 
+def _accepted_mass_deviation(d: int) -> float:
+    """The most that sum_{z,q} ||b_{z,q}||^2 = ||U psi||^2 (and ||psi||^2) of an
+    attack that check_attacks accepts can miss 1 by, to first order: V and U
+    each 2d TOL_UNITARY in operator norm, omega TOL_NORM."""
+    return 4 * d * linalg.TOL_UNITARY + linalg.TOL_NORM
+
+
 def _joint_table(ev: _Evaluation, elements: np.ndarray) -> np.ndarray:
     """Joint tables p(z, e), shape (N, 2, m), of evaluated attacks and
-    POVM elements (N, m, d, d); see joint_distribution."""
+    POVM elements (N, m, d, d); see joint_distribution.
+
+    The table route clamps each entry at 0 and the conditional route does
+    not.  So when they disagree by more than 1e-12, the negativity nu_e of
+    each element (at most TOL_POSITIVE for elements that check_elements
+    accepts) is measured, and the check re-run with nu_e times the
+    branch's squared norm added.  Likewise a table total that misses 1 by
+    more than 1e-9 is re-checked with what accepted inputs allow added:
+    d times the largest entry of sum_e E_e - 1, the sum of the nu_e, and
+    _accepted_mass_deviation(d).  Exact inputs never take either branch.
+    """
     d = ev.rho_eve.shape[-1]
     if elements.shape[-1] != d:
         raise ValueError(f"POVM dimension {elements.shape[-1]} does not match ancilla dimension {d}")
@@ -202,12 +248,25 @@ def _joint_table(ev: _Evaluation, elements: np.ndarray) -> np.ndarray:
     conditional = ev.p_a[..., None] * np.einsum("nzij,neji->nze", ev.rho_eve, elements).real
     off = np.abs(table - conditional) > CROSS_CHECK_TOL
     if off.any():
-        k, z, e = (int(i) for i in np.argwhere(off)[0])
-        raise ArithmeticError(
-            f"joint-distribution routes disagree at (z={z}, e={e}): "
-            f"{float(table[k, z, e])!r} vs {float(conditional[k, z, e])!r}"
-        )
-    return validate_joint(table)
+        mass = _sq_norms(ev.branches).sum(axis=-1)  # (N, 2)
+        off &= np.abs(table - conditional) > CROSS_CHECK_TOL + _negativity(elements)[:, None, :] * mass[..., None]
+        if off.any():
+            k, z, e = (int(i) for i in np.argwhere(off)[0])
+            raise ArithmeticError(
+                f"joint-distribution routes disagree at (z={z}, e={e}): "
+                f"{float(table[k, z, e])!r} vs {float(conditional[k, z, e])!r}"
+            )
+    try:
+        return validate_joint(table)
+    except ValueError:
+        completeness = np.abs(elements.sum(axis=-3) - np.eye(d)).max(axis=(-2, -1))
+        allowed = d * completeness + _negativity(elements).sum(axis=-1) + _accepted_mass_deviation(d)
+        return validate_joint(table, PROB_SUM_TOL + allowed)
+
+
+def _negativity(elements: np.ndarray) -> np.ndarray:
+    """nu_e = max(0, -lambda_min(E_e)) of each element of a stack (N, m, d, d); shape (N, m)."""
+    return np.maximum(-np.linalg.eigvalsh(elements)[..., 0], 0.0)
 
 
 def forward_state(attack: AttackModel) -> np.ndarray:
@@ -234,7 +293,7 @@ def _z_projectors(d: int) -> np.ndarray:
 def _sift_error_operator(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sift_error_operator for stacks psi (N, 2d) and u (N, 2d, 2d): the
     explicit projector matrices and U^dag are applied to psi right to left,
-    one matrix-vector product at a time."""
+    one matrix-vector product at a time; unclamped."""
     z = _z_projectors(psi.shape[-1] // 2)
     udag = linalg.dagger(u)
     ket = psi[..., None]
@@ -242,7 +301,7 @@ def _sift_error_operator(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     for zz in (0, 1):
         image = z[zz] @ (udag @ (z[1 - zz] @ (u @ (z[zz] @ ket))))
         total = total + (psi.conj()[:, None, :] @ image)[:, 0, 0].real
-    return linalg.clamp_probability(total, "P_SIFT (operator form)")
+    return total
 
 
 def sift_error_operator(attack: AttackModel) -> float:
@@ -252,7 +311,7 @@ def sift_error_operator(attack: AttackModel) -> float:
     applied to |Psi> right to left (independent of the branch
     bookkeeping in sift_branch)."""
     psi = _prepared_states(attack.omega[None], attack.v[None])
-    return float(_sift_error_operator(psi, attack.u[None])[0])
+    return linalg.clamp_probability(_sift_error_operator(psi, attack.u[None])[0], "P_SIFT (operator form)")
 
 
 def sift_branch(attack: AttackModel) -> SiftOutcome:

@@ -1,27 +1,27 @@
 """Seeded randomized verification suites.
 
-Trial k of a suite draws its instance from the generator that the child
-seed SeedSequence(seed, spawn_key=(k,)) would seed, the k-th child that
-SeedSequence(seed).spawn would give, so a (suite, trials, seed) triple is
-fully reproducible and any worst instance can be regenerated from its
-trial index: sample_theorem_instance still takes that SeedSequence.  A
-trial seeds one generator from its child, draws its shape from it and
-then every other number of the trial in one block of standard normals.
+A suite draws its trials one window of _WINDOW (1024) at a time, and
+window w draws from one generator, seeded by child w of SeedSequence(seed),
+SeedSequence(seed, spawn_key=(w,)).  The generator first draws the shapes
+of all 1024 rows of the window, as whole-array `integers` calls, then one
+stream of standard normals (uniforms for lemma1) in row order; row r takes
+its block [cum[r], cum[r + 1]) of that stream, cum being the running sum
+of the rows' block lengths.  Trial k is row k % 1024 of window k // 1024.
+The shapes are drawn for all 1024 rows whatever the number of trials, and
+a stream of n numbers is the first n of a longer one, so trial k's
+instance does not depend on `trials`, and a (suite, trials, seed) triple
+is fully reproducible.  sample_theorem_instance regenerates trial k from
+SeedSequence(seed).spawn(trials)[k] by redrawing its window up to row k.
 
-Trials are drawn one window of _WINDOW (1024) at a time.  A window
-derives the PCG64 seed words of all its children in one vectorized pass
-of SeedSequence's own hash (_child_states), checks its first child's
-words against numpy's SeedSequence, and hands each trial a stand-in
-child that returns its words.  Trials are grouped as they are drawn,
-and each group of a window is built, validated and evaluated in one call
-of the stacked kernel, the kernel that the scalar functions of `protocol`
-and `tradeoff` run on stacks of one.  The complex arrays are sliced out
-of a group's stacked normal blocks, not built per trial.
+The rows of a window are grouped by shape, and each group's blocks are
+gathered from the stream with one fancy index, then built, validated and
+evaluated in one call of the stacked kernel, the kernel that the scalar
+functions of `protocol` and `tradeoff` run on stacks of one.
 
-lemma1 and lemma2 group their trials by shape.  theorem and proof-chain
+lemma1 and lemma2 group their rows by shape.  theorem and proof-chain
 group theirs by ancilla dimension d alone and evaluate a group in two
 halves.  The attack half runs once per (window, d): V and U from the
-Ginibre heads of the draws, their checks, the protocol evaluation and
+Ginibre heads of the blocks, their checks, the protocol evaluation and
 the trade-off bounds.  The POVM half runs per outcome count m within
 that d: the elements and their checks, then the joint tables, I(A:E)
 and, for proof-chain, the derivation chain, on that (d, m)'s rows of
@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg
 from .info import _mutual_information, mutual_information
@@ -49,14 +48,7 @@ from .tradeoff import (
     tradeoff_bound,
 )
 
-_WINDOW = 1024  # trials drawn and grouped together; bounds the draws held at once and the stacks
-
-# the constants of SeedSequence's hash (numpy/random/bit_generator.pyx), which _child_states replays
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL = 4  # SeedSequence's default pool size, in uint32 words
+_WINDOW = 1024  # rows drawn from one generator; part of the draw contract, and it bounds the stacks
 
 
 @dataclass
@@ -82,64 +74,31 @@ class SuiteResult:
         return self.violations == 0
 
 
-def _child_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """PCG64 seed words (stop - start, 4) of the children start..stop-1 of
-    SeedSequence(seed): row i is what SeedSequence(seed, spawn_key=(start + i,))
-    .generate_state(4, np.uint64) gives, for k < 2**32.  The hash runs on the
-    seed's words as Python ints masked to 32 bits, then on uint32 arrays over k."""
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # a spawned SeedSequence pads its run entropy with zeros to the pool size
-    entropy = [*words, *[0] * (_POOL - len(words)), np.arange(start, stop, dtype=np.uint32)]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return x ^ x >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:  # the words beyond the pool, k last
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, np.uint64): 8 uint32 words cycled from the pool, paired little-endian
-    const, state = _INIT_B, np.empty((stop - start, 2 * _POOL), dtype=np.uint32)
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        state[:, i] = value ^ value >> 16
-    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
+def _window(draw, seed, w: int, n: int) -> tuple:
+    """draw's first n rows of window w of a suite run on `seed`, from the
+    generator that child w of SeedSequence(seed) seeds."""
+    return draw(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,))), n)
 
 
-class _Child(ISeedSequence):
-    """Child k of a suite's root seed where a trial seeds its generator: it
-    stands in for SeedSequence(seed, spawn_key=(k,)) by returning the PCG64
-    seed words that _child_states derived for it."""
-
-    def __init__(self, k: int, state: np.ndarray):
-        self.spawn_key = (k,)
-        self._state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:  # the one request PCG64 makes
-            raise ValueError(f"child {self.spawn_key[0]} holds 4 uint64 words, not {n_words} {dtype}")
-        return self._state
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """cum (len(sizes) + 1,): row r's block is [cum[r], cum[r + 1]) of the stream."""
+    cum = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=cum[1:])
+    return cum
 
 
-def _random_joint(rng) -> np.ndarray:
-    m = int(rng.integers(1, 9))
-    table = rng.random((2, m))
-    return table / table.sum()
+def _blocks(stream: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """The blocks (N, length) of the stream that begin at starts (N,), in one fancy index."""
+    return stream[starts[:, None] + np.arange(length)]
+
+
+def _groups(keys: np.ndarray):
+    """(key, rows) of each distinct row of keys (n, j), small non-negative
+    ints, in key order: key a tuple of ints and rows its row numbers, ascending."""
+    code = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+    order = np.argsort(code, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+        yield tuple(keys[rows[0]].tolist()), rows
 
 
 def _unpack(g: np.ndarray, *shapes) -> list:
@@ -156,14 +115,15 @@ def _unpack(g: np.ndarray, *shapes) -> list:
     return arrays
 
 
-def _draw_theorem(child) -> tuple:
-    """The seeded draws of a theorem-style trial, keyed by (d, m): d in
-    {2,3,4}, m in [2, d^2], then one block of 16 d^2 + 2 m d^2 normals for
-    the Ginibre matrices of V and U and the m factors."""
-    rng = np.random.default_rng(child)
-    d = int(rng.integers(2, 5))
-    m = int(rng.integers(2, d * d + 1))
-    return (d, m), rng.standard_normal(16 * d * d + 2 * m * d * d)
+def _draw_theorem(rng, n: int) -> tuple:
+    """The draws of a theorem-style window: d in {2,3,4} and m in [2, d^2]
+    for all rows, then for the first n rows blocks of 16 d^2 + 2 m d^2
+    normals, the Ginibre matrices of V and U and the m factors.  Rows are
+    keyed by d alone, so that a window evaluates the attacks of each d together."""
+    d = rng.integers(2, 5, size=_WINDOW)
+    m = rng.integers(2, d * d + 1)
+    cum = _offsets(16 * d * d + 2 * m * d * d)
+    return d[:n, None], cum, rng.standard_normal(cum[n])
 
 
 def _haar(block: np.ndarray, dim: int) -> np.ndarray:
@@ -193,47 +153,41 @@ def _povm_stack(d: int, m: int, tails: np.ndarray) -> np.ndarray:
     return elements
 
 
-def _theorem_stack(key, draws: list) -> tuple:
-    """Validated omega, V, U and POVM elements of a group of theorem draws
-    of one shape (d, m), through the two helpers the suites use."""
-    d, m = key
-    g = np.stack(draws)
-    head = 16 * d * d
-    return (*_attack_stack(d, g[:, :head]), _povm_stack(d, m, g[:, head:]))
-
-
 def sample_theorem_instance(child: np.random.SeedSequence) -> tuple[AttackModel, Povm]:
     """Random attack (d in {2,3,4}) paired with a random POVM (m <= d^2):
-    the instance of the theorem and proof-chain suites drawn from `child`."""
-    key, draw = _draw_theorem(child)
-    omega, v, u, elements = _theorem_stack(key, [draw])
-    return AttackModel(key[0], omega[0], v[0], u[0]), Povm(elements[0])
+    trial k of the theorem and proof-chain suites on `seed`, for the child
+    SeedSequence(seed).spawn(trials)[k] (any trials > k).  It reads seed
+    and k from the child and redraws window k // 1024 up to row k, so a
+    trial late in its window costs most of a window's draws."""
+    if len(child.spawn_key) != 1:
+        raise ValueError("sample_theorem_instance takes child k of SeedSequence(seed).spawn, "
+                         f"whose spawn_key is (k,); got spawn_key {child.spawn_key}")
+    w, row = divmod(child.spawn_key[0], _WINDOW)
+    keys, cum, stream = _window(_draw_theorem, child.entropy, w, row + 1)
+    d = int(keys[row, 0])
+    head, start = 16 * d * d, cum[row:row + 1]
+    omega, v, u = _attack_stack(d, _blocks(stream, start, head))
+    m = int(cum[row + 1] - cum[row] - head) // (2 * d * d)
+    elements = _povm_stack(d, m, _blocks(stream, start + head, 2 * m * d * d))
+    return AttackModel(d, omega[0], v[0], u[0]), Povm(elements[0])
 
 
-def _draw_by_dimension(child) -> tuple:
-    """_draw_theorem's draws keyed by the ancilla dimension d alone, so that
-    a window evaluates the attacks of each d together."""
-    (d, _), g = _draw_theorem(child)
-    return d, g
-
-
-def _by_dimension(figures, d: int, draws: list) -> dict:
-    """Named per-trial figures of a group of theorem draws of one ancilla
+def _by_dimension(figures, key, stream, cum, rows) -> dict:
+    """Named per-row figures of a window's theorem rows of one ancilla
     dimension d.  The attack half runs once on the whole group: V and U
-    from the Ginibre heads of the draws, their evaluation and trade-off
+    from the Ginibre heads of the blocks, their evaluation and trade-off
     bounds.  The POVM half runs once per outcome count m: the elements of
-    that m's draws and figures(ev, elements, rhs) on its rows alone."""
-    head = 16 * d * d
-    ev = _evaluate(*_attack_stack(d, np.stack([g[:head] for g in draws])))
+    that m's rows and figures(ev, elements, rhs) on those rows alone."""
+    d, = key
+    head, starts = 16 * d * d, cum[rows]
+    ev = _evaluate(*_attack_stack(d, _blocks(stream, starts, head)))
     rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
-    subgroups = {}  # by block length 16 d^2 + 2 m d^2, which gives m
-    for i, g in enumerate(draws):
-        subgroups.setdefault(len(g), []).append(i)
+    counts = (cum[rows + 1] - starts - head) // (2 * d * d)  # each row's m, from its block length
     results = {}
-    for size, rows in subgroups.items():
-        elements = _povm_stack(d, (size - head) // (2 * d * d), np.stack([draws[i][head:] for i in rows]))
-        for name, values in figures(ev.rows(rows), elements, rhs[rows]).items():
-            results.setdefault(name, np.empty(len(draws), dtype=values.dtype))[rows] = values
+    for (m,), sub in _groups(counts[:, None]):
+        elements = _povm_stack(d, m, _blocks(stream, starts[sub] + head, 2 * m * d * d))
+        for name, values in figures(ev.rows(sub), elements, rhs[sub]).items():
+            results.setdefault(name, np.empty(len(rows), dtype=values.dtype))[sub] = values
     return results
 
 
@@ -251,43 +205,50 @@ def _proof_chain_figures(ev, elements, rhs) -> dict:
     return {"slack": slack, "max_equality_residual": residual, "rhs": rhs, "step": step}
 
 
-def _draw_lemma1(child) -> tuple:
-    table = _random_joint(np.random.default_rng(child))
-    return table.shape, table
+def _draw_lemma1(rng, n: int) -> tuple:
+    """The draws of a lemma1 window: m in [1, 8] for all rows, then for the
+    first n rows blocks of 2 m uniforms, a (2, m) table to normalize."""
+    m = rng.integers(1, 9, size=_WINDOW)
+    cum = _offsets(2 * m)
+    return m[:n, None], cum, rng.random(cum[n])
 
 
-def _lemma1_figures(key, tables) -> dict:
-    tables = np.stack(tables)
+def _lemma1_figures(key, stream, cum, rows) -> dict:
+    m, = key
+    tables = _blocks(stream, cum[rows], 2 * m).reshape(len(rows), 2, m)
+    tables /= tables.sum(axis=(1, 2), keepdims=True)
     return {"slack": fidelity_information_bound(tables) - mutual_information(tables)}
 
 
-def _draw_lemma2(child) -> tuple:
-    """The seeded draws of a lemma2 trial, keyed by (d, m): d in [1, 4],
-    m in [1, 6], then one block of 8 d + 8 + 2 m d^2 normals for phi0 and
-    phi1, x and the m factors."""
-    rng = np.random.default_rng(child)
-    d = int(rng.integers(1, 5))
-    m = int(rng.integers(1, 7))
-    return (d, m), rng.standard_normal(8 * d + 8 + 2 * m * d * d)
+def _draw_lemma2(rng, n: int) -> tuple:
+    """The draws of a lemma2 window: d in [1, 4], then m in [1, 6], for all
+    rows, then for the first n rows blocks of 8 d + 8 + 2 m d^2 normals
+    for phi0 and phi1, x and the m factors."""
+    d = rng.integers(1, 5, size=_WINDOW)
+    m = rng.integers(1, 7, size=_WINDOW)
+    cum = _offsets(8 * d + 8 + 2 * m * d * d)
+    return np.stack([d[:n], m[:n]], axis=1), cum, rng.standard_normal(cum[n])
 
 
-def _lemma2_figures(key, draws) -> dict:
+def _lemma2_figures(key, stream, cum, rows) -> dict:
     d, m = key
-    phi, x, factors = _unpack(np.stack(draws), (2, 2 * d), (1, 2, 2), (m, d, d))
+    blocks = _blocks(stream, cum[rows], 8 * d + 8 + 2 * m * d * d)
+    phi, x, factors = _unpack(blocks, (2, 2 * d), (1, 2, 2), (m, d, d))
     elements = elements_from_factors(factors)
     check_elements(elements)
     return {"slack": _overlap_slack(phi[:, 0], phi[:, 1], x[:, 0], elements)}
 
 
-# suite name -> (per-trial draw returning (group key, draws), evaluation of a
-# group of same-key draws returning named per-trial figures, the figure and
-# SuiteResult field reporting its maximum, the largest it may be without a
-# violation); every evaluation returns the trial's "slack"
+# suite name -> (draw(rng, n) of a window's first n rows, returning their
+# group keys (n, j), block offsets cum and stream; evaluation
+# (key, stream, cum, rows) of a group of rows returning named per-row
+# figures; the figure and SuiteResult field reporting its maximum; the
+# largest it may be without a violation); every evaluation returns "slack"
 SUITES = {
     "lemma1": (_draw_lemma1, _lemma1_figures, None, None),
     "lemma2": (_draw_lemma2, _lemma2_figures, None, None),
-    "theorem": (_draw_by_dimension, functools.partial(_by_dimension, _theorem_figures), "max_info_ratio", np.inf),
-    "proof-chain": (_draw_by_dimension, functools.partial(_by_dimension, _proof_chain_figures),
+    "theorem": (_draw_theorem, functools.partial(_by_dimension, _theorem_figures), "max_info_ratio", np.inf),
+    "proof-chain": (_draw_theorem, functools.partial(_by_dimension, _proof_chain_figures),
                     "max_equality_residual", CROSS_CHECK_TOL),
 }
 SUITE_NAMES = tuple(SUITES)
@@ -297,38 +258,27 @@ def _suite_figures(suite: str, trials: int, seed: int) -> dict:
     """Every named per-trial figure of a suite run, each an array over the trials."""
     draw, evaluate, _, _ = SUITES[suite]
     figures = {}
-    for start in range(0, trials, _WINDOW):
-        stop = min(start + _WINDOW, trials)
-        states = _child_states(seed, start, stop)
-        want = np.random.SeedSequence(seed, spawn_key=(start,)).generate_state(4, np.uint64)
-        if not np.array_equal(states[0], want):
-            raise ArithmeticError(
-                f"child seed routes disagree at trial {start}: {states[0].tolist()} vs numpy's {want.tolist()}"
-            )
-        groups = {}  # a fresh dict, so that the last window's draws go before this one's are made
-        for k, state in zip(range(start, stop), states):
-            key, g = draw(_Child(k, state))
-            rows, group = groups.setdefault(key, ([], []))
-            rows.append(k)
-            group.append(g)
-        for key, (rows, group) in groups.items():
+    for w, start in enumerate(range(0, trials, _WINDOW)):
+        keys, cum, stream = _window(draw, seed, w, min(_WINDOW, trials - start))
+        for key, rows in _groups(keys):
             try:
-                results = evaluate(key, group)
+                results = evaluate(key, stream, cum, rows)
             except ValueError as exc:
-                raise _first_failure(suite, evaluate, key, group, rows) or exc
+                raise _first_failure(suite, evaluate, key, stream, cum, start + rows) or exc
             for name, values in results.items():
-                figures.setdefault(name, np.empty(trials, dtype=values.dtype))[rows] = values
+                figures.setdefault(name, np.empty(trials, dtype=values.dtype))[start + rows] = values
+        del keys, cum, stream  # so that this window's draws go before the next one's are made
     return figures
 
 
-def _first_failure(suite: str, evaluate, key, group: list, rows) -> ValueError | None:
+def _first_failure(suite: str, evaluate, key, stream, cum, trials) -> ValueError | None:
     """The error of the first trial of a failed group that fails on its own,
     named by its index so that it can be regenerated."""
-    for row, draw in zip(rows, group):
+    for k in trials:
         try:
-            evaluate(key, [draw])
+            evaluate(key, stream, cum, np.array([k % _WINDOW]))
         except ValueError as exc:
-            return ValueError(f"{suite} trial {row}: {exc}")
+            return ValueError(f"{suite} trial {k}: {exc}")
     return None
 
 

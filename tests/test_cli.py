@@ -1,14 +1,19 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sqkd import linalg, protocol
 from sqkd.attacks import FAMILIES, named_attack, random_attack
@@ -17,6 +22,8 @@ from sqkd.eavesdropper import OptimizerConfig, accessible_information
 from sqkd.povm import basis_povm, random_povm
 from sqkd.serialize import (
     attack_to_dict,
+    parse_attack_file,
+    parse_povm_file,
     povm_from_dict,
     povm_to_dict,
     report_to_dict,
@@ -224,8 +231,10 @@ def test_a_failed_joint_table_cross_check_exits_three(capsys, monkeypatch):
     assert err.startswith("error: joint-distribution routes disagree at (z=0, e=0): ")
 
 
-def test_run_rejects_a_near_unitary_attack_naming_the_failed_clamp(capsys, tmp_path):
-    # U = (1 + 4e-11) X passes the 1e-10 unitarity check but pushes P(z_B|z) past 1 + 1e-12
+def test_run_rejects_a_near_unitary_attack_naming_the_failed_clamp(capsys, tmp_path, monkeypatch):
+    # U = (1 + 4e-11) X passes the 1e-10 unitarity check but pushes P(z_B|z) past 1 + 1e-12;
+    # the re-check widened by that deviation passes it, so here the widening is taken away
+    monkeypatch.setattr(protocol, "_accepted_deviation", lambda omega, v, u: 0.0)
     x = np.array([[0, 1], [1, 0]])
     attack = protocol.AttackModel(1, [1.0], linalg.haar_unitary(2, 3), (1 + 4e-11) * x)
     path = tmp_path / "flip.json"
@@ -234,6 +243,125 @@ def test_run_rejects_a_near_unitary_attack_naming_the_failed_clamp(capsys, tmp_p
     assert (code, out) == (2, "")
     assert err.startswith("error: P(z_B|z) 1.00000000008 is not a probability")
     assert "8.000e-11 for U" in err
+
+
+def flip_attack_doc(d: int, scale: float) -> dict:
+    """omega = |0>, V = 1 and U = scale X (x) 1 on C^2 (x) C^d."""
+    flip = np.kron(np.array([[0, 1], [1, 0]]), np.eye(d))
+    return attack_to_dict(protocol.AttackModel(d, linalg.basis_state(d, 0), np.eye(2 * d), scale * flip))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_run_accepts_a_near_unitary_attack_that_pushes_a_probability_past_the_clamp(capsys, tmp_path, d):
+    # U = (1 + 4e-11) X (x) 1 makes P(z_B|z) 1 + 8e-11: within what its accepted deviation explains
+    path = tmp_path / "flip.json"
+    write_document(flip_attack_doc(d, 1 + 4e-11), path)
+    for povm in ("z", "x", "optimize"):
+        code, out, err = run_cli(capsys, "run", "--attack", str(path), "--povm", povm, "--restarts", "2")
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert abs(report["p_sift"] - 1.0) <= 1e-12 and report["holds"]
+
+
+def test_run_accepts_a_povm_element_negative_within_tolerance(capsys, tmp_path):
+    # lambda_min = -0.99e-10 passes check_elements; the table route clamps the entry
+    # at 0 while the conditional route reads about -4.95e-11
+    eps = 0.99e-10
+    path = tmp_path / "povm.json"
+    write_document({"elements": _pairs(np.array([np.diag([1 + eps, -eps]), np.diag([-eps, 1 + eps])]))}, path)
+    code, out, err = run_cli(capsys, "run", "--attack", "forward-cnot", "--povm", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["joint"][0][1] == 0.0
+
+
+def _pairs(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _flat(m: np.ndarray, size: float) -> np.ndarray:
+    """m (1 + size J / n), J the all-ones n x n matrix: the perturbation that
+    moves a norm most for a given largest entry of M^dag M - 1."""
+    n = m.shape[-1]
+    return m @ (np.eye(n) + size * np.ones((n, n)) / n)
+
+
+def _scaled_to(make, target: float, measure) -> np.ndarray:
+    """make(size) with size scaled so that measure(make(size)) is about target."""
+    probe = measure(make(1e-6))
+    return make(1e-6 * target / probe) if probe > 0 else make(0.0)
+
+
+FRACTION = st.sampled_from([0.0, 0.5, 0.98])  # of a load tolerance; the extremes are where a check trips
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(1, 4), fractions=st.lists(FRACTION, min_size=5, max_size=5),
+       start=st.sampled_from(["identity", "uniform", "random"]), base=st.sampled_from(["z", "x", "random"]),
+       along_zero=st.booleans())
+# every deviation at its extreme: the totals of the joint table and of Gamma's spectrum,
+# then the joint-table cross-check (a branch on |0>, where element 1 is negative)
+@example(seed=0, d=4, fractions=[0.98] * 5, start="uniform", base="z", along_zero=False)
+@example(seed=0, d=2, fractions=[0.0, 0.0, 0.0, 0.98, 0.0], start="identity", base="z", along_zero=True)
+def test_run_never_exits_2_or_3_on_files_within_the_load_tolerances(seed, d, fractions, start, base, along_zero):
+    f_v, f_u, f_omega, f_neg, f_complete = fractions
+    rng = np.random.default_rng(seed)
+    n = 2 * d
+    # V, U = 1 with omega = |0> leaves every branch on |0>, where element 1 below is negative;
+    # with omega along the all-ones vector the flat perturbations move the norms most
+    omega = {"identity": linalg.basis_state(d, 0), "uniform": np.ones(d) / np.sqrt(d)}.get(start)
+    attack = protocol.AttackModel(d, omega, np.eye(n), np.eye(n)) if omega is not None else random_attack(d, rng)
+    v = _scaled_to(lambda s: _flat(attack.v, s), f_v * linalg.TOL_UNITARY, linalg.unitary_deviation)
+    u = _scaled_to(lambda s: _flat(attack.u, s), f_u * linalg.TOL_UNITARY, linalg.unitary_deviation)
+    omega = attack.omega * np.sqrt(1 + f_omega * linalg.TOL_NORM)
+    # (at d = 1 a basis has one element, so the negative shift needs a random POVM)
+    elements = (random_povm(d, max(2, d * d), rng) if base == "random" or d == 1 else basis_povm(d, base)).elements.copy()
+    # element 1 goes negative along a direction that element 0 takes up, so the sum is unchanged
+    direction = linalg.basis_state(d, 0) if along_zero else rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    direction /= np.linalg.norm(direction)
+    shift = f_neg * linalg.TOL_POSITIVE * np.outer(direction, direction.conj())
+    elements[1] -= shift
+    elements[0] += shift
+    elements += f_complete * 1e-9 * np.ones((d, d)) / len(elements)  # sum_e E_e - 1 = f 1e-9 J
+    docs = {"attack.json": {"ancilla_dim": d, "omega": _pairs(omega), "v": _pairs(v), "u": _pairs(u)},
+            "povm.json": {"elements": _pairs(elements)}}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / name) for name in docs}
+        for name, doc in docs.items():
+            write_document(doc, paths[name])
+        try:
+            parse_attack_file(paths["attack.json"])
+            parse_povm_file(paths["povm.json"])
+        except ValueError:
+            assume(False)  # a draw the loaders refuse says nothing here
+        for povm in ("z", "x", paths["povm.json"], "optimize"):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(["run", "--attack", paths["attack.json"], "--povm", povm, "--restarts", "2"])
+            assert code in (0, 1), (povm, stderr.getvalue())
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("u", lambda d: _pairs(_scaled_to(lambda s: _flat(np.eye(2 * d), s), 1.02e-10, linalg.unitary_deviation)),
+     "U is not unitary"),
+    ("omega", lambda d: _pairs(np.sqrt(1 + 1.02e-10) * linalg.basis_state(d, 0)), "omega is not normalized"),
+], ids=["unitary", "normalized"])
+def test_an_attack_file_just_outside_the_tolerances_is_refused(capsys, tmp_path, field, value, message):
+    for d in (1, 3):
+        path = tmp_path / "attack.json"
+        write_document({**flip_attack_doc(d, 1.0), field: value(d)}, path)
+        code, out, err = run_cli(capsys, "run", "--attack", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("elements,message", [
+    (np.array([np.diag([1 + 1.02e-10, -1.02e-10]), np.diag([-1.02e-10, 1 + 1.02e-10])]), "POVM element 0 is not positive"),
+    (np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1.02e-9])]), "POVM elements sum to identity only within"),
+], ids=["negative", "incomplete"])
+def test_a_povm_file_just_outside_the_tolerances_is_refused(capsys, tmp_path, elements, message):
+    path = tmp_path / "povm.json"
+    write_document({"elements": _pairs(elements)}, path)
+    code, out, err = run_cli(capsys, "run", "--attack", "forward-cnot", "--povm", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
 
 
 def test_run_optimize_evaluates_the_attack_once(capsys, monkeypatch):

@@ -76,15 +76,38 @@ def test_attack_rejects_wrong_shapes_on_construction(d, omega, v, message):
         AttackModel(d, omega, v, np.eye(2 * d))
 
 
-def test_a_failed_probability_clamp_names_the_quantity_and_the_unitarity_deviations():
+def test_a_failed_probability_clamp_names_the_quantity_and_the_unitarity_deviations(monkeypatch):
     # U = (1 + 4e-11) X deviates from unitary by 8e-11, under the 1e-10
-    # tolerance, yet pushes P(z_B|z) to 1 + 8e-11, past the clamp
+    # tolerance, yet pushes P(z_B|z) to 1 + 8e-11, past the clamp; the
+    # re-check widened by that deviation passes it, so the message path is
+    # reached here only with the widening taken away
+    monkeypatch.setattr(protocol, "_accepted_deviation", lambda omega, v, u: 0.0)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     attack = AttackModel(1, np.array([1.0]), linalg.haar_unitary(2, 3), (1 + 4e-11) * x)
     with pytest.raises(ValueError, match=r"^P\(z_B\|z\) 1\.00000000008 is not a probability up to tolerance 1e-12; "
                                          r"the attack's max deviation of M\^dag M from 1 is \d\.\d{3}e-16 for V "
                                          r"and 8\.000e-11 for U \(each accepted up to 1e-10\)$"):
         sift_branch(attack)
+
+
+def test_an_accepted_near_unitary_attack_passes_the_widened_clamps():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    attack = AttackModel(1, np.array([1.0]), linalg.haar_unitary(2, 3), (1 + 4e-11) * x)
+    out = sift_branch(attack)
+    assert out.p_b_given_a.tolist() == [[0.0, 1.0], [1.0, 0.0]] and out.p_sift == 1.0
+    assert protocol._accepted_deviation(attack.omega[None], attack.v[None], attack.u[None]) >= 2 * 8e-11
+
+
+def test_a_clamped_bob_row_beside_an_unclamped_one_passes_the_widened_sift_cross_check():
+    # U |0,0> = (1 + 4e-11) |1,0> and U |1,0> = (|0,0> + |1,1>)/sqrt 2: P(1|0) = 1 + 8e-11 is
+    # clamped to 1 and P(0|1) = 1/2 is not, so the defining sum and the operator form of
+    # P_SIFT (0.75 + 4e-11, inside [0, 1]) are 4e-11 apart
+    e = np.eye(4)
+    u = np.stack([(1 + 4e-11) * e[2], e[1], (e[0] + e[3]) / np.sqrt(2), (e[0] - e[3]) / np.sqrt(2)], axis=1)
+    attack = AttackModel(2, np.array([1.0, 0.0]), np.eye(4), u)
+    out = sift_branch(attack)
+    assert out.p_b_given_a[0].tolist() == [0.0, 1.0] and abs(out.p_sift - 0.75) <= 1e-12
+    assert abs(sift_error_operator(attack) - 0.75 - 4e-11) <= 1e-15
 
 
 @pytest.mark.parametrize(

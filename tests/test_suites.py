@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,19 +9,13 @@ import pytest
 from sqkd import suites
 from sqkd.cli import main
 from sqkd.info import mutual_information
+from sqkd.linalg import basis_state
 from sqkd.povm import povm_from_factors
-from sqkd.protocol import ctrl_error, eve_information, sift_branch
+from sqkd.protocol import AttackModel, _evaluate_attack, ctrl_error, eve_information, sift_branch
 from sqkd.suites import (
     SUITE_NAMES,
     SUITES,
-    _Child,
-    _child_states,
-    _draw_lemma2,
-    _draw_theorem,
-    _lemma2_figures,
-    _random_joint,
     _suite_figures,
-    _theorem_stack,
     run_suite,
     sample_theorem_instance,
 )
@@ -91,59 +87,77 @@ def test_run_suite_takes_numpy_integers_as_python_ints():
         assert type(got.seed) is int and type(got.trials) is int
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
-def test_child_states_are_numpys_child_seed_words(seed):
-    # 2**130 + 7 has five entropy words, one beyond the pool; k crosses 1023/1024 and 2047/2048
-    want = np.array([np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
-                     for k in range(2101)])
-    assert np.array_equal(_child_states(seed, 0, 2101), want)
-    windows = [_child_states(seed, start, min(start + 1024, 2101)) for start in (0, 1024, 2048)]
-    assert np.array_equal(np.concatenate(windows), want)
-    assert np.array_equal(_child_states(seed, 1023, 1025), want[1023:1025])
-    rng = np.random.default_rng(_Child(2047, windows[1][-1]))
-    assert np.array_equal(rng.standard_normal(8),
-                          np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2047,))).standard_normal(8))
-    with pytest.raises(ValueError, match="^child 2047 holds 4 uint64 words"):
-        _Child(2047, windows[1][-1]).generate_state(4)
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]  # 2**130 + 7 has five 32-bit entropy words
 
 
-def test_a_corrupted_child_seed_word_fails_its_window_check(monkeypatch):
-    derive = _child_states
+# The reference routes: the draw contract written out with plain numpy calls,
+# one trial at a time, and each trial's figures from the public scalar functions.
 
-    def corrupted(seed, start, stop):
-        states = derive(seed, start, stop)
-        if start == 1024:  # the second window's first child
-            states[0, 2] ^= np.uint64(1 << 40)
-        return states
-
-    monkeypatch.setattr(suites, "_child_states", corrupted)
-    with pytest.raises(ArithmeticError, match="^child seed routes disagree at trial 1024: "):
-        run_suite("lemma2", 1100, 0)
-
-
-def test_lemma2_across_three_windows_matches_the_per_child_route():
-    trials, seed = 2100, 6
-    result = run_suite("lemma2", trials, seed)
-    slacks = np.array([reference_figures("lemma2", child)["slack"]
-                       for child in np.random.SeedSequence(seed).spawn(trials)])
-    worst = int(np.argmin(slacks))
-    assert (result.worst_trial, result.min_slack) == (worst, slacks[worst])
-    assert result.violations == int((slacks < SLACK_TOL).sum())
-
-
-def reference_figures(suite: str, child) -> dict:
-    """A trial's figures from its seeded draws and the public scalar functions."""
+@functools.cache
+def reference_window(suite: str, seed: int, w: int) -> tuple:
+    """The shapes and blocks of all 1024 rows of window w, drawn from child w of SeedSequence(seed)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(w + 1)[w])
     if suite == "lemma1":
-        table = _random_joint(np.random.default_rng(child))
+        m = rng.integers(1, 9, size=1024)
+        shapes, sizes, stream = [(int(x),) for x in m], 2 * m, rng.random
+    elif suite == "lemma2":
+        d = rng.integers(1, 5, size=1024)
+        m = rng.integers(1, 7, size=1024)
+        shapes, sizes, stream = list(zip(d.tolist(), m.tolist())), 8 * d + 8 + 2 * m * d * d, rng.standard_normal
+    else:
+        d = rng.integers(2, 5, size=1024)
+        m = rng.integers(2, d * d + 1)
+        shapes, sizes, stream = list(zip(d.tolist(), m.tolist())), 16 * d * d + 2 * m * d * d, rng.standard_normal
+    return shapes, np.split(stream(int(sizes.sum())), np.cumsum(sizes)[:-1])
+
+
+def reference_trial(suite: str, seed: int, k: int) -> tuple:
+    """Trial k's shape and a reader of its block: take(*shape) returns its next numbers."""
+    shapes, blocks = reference_window(suite, seed, k // 1024)
+    block, at = blocks[k % 1024], 0
+
+    def take(*shape):
+        nonlocal at
+        at += math.prod(shape)
+        assert at <= len(block)
+        return block[at - math.prod(shape):at].reshape(shape)
+
+    return shapes[k % 1024], take
+
+
+def complex_normals(take, *shape):
+    return take(*shape) + 1j * take(*shape)
+
+
+def parent_haar_unitary(g):
+    """Haar unitary from one Ginibre matrix, as the per-instance sampler always drew it."""
+    q, r = np.linalg.qr(g / np.sqrt(2.0))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def reference_instance(seed: int, k: int) -> tuple:
+    (d, m), take = reference_trial("theorem", seed, k)
+    v = parent_haar_unitary(complex_normals(take, 2 * d, 2 * d))
+    u = parent_haar_unitary(complex_normals(take, 2 * d, 2 * d))
+    eve_povm = povm_from_factors([complex_normals(take, d, d) for _ in range(m)])
+    return AttackModel(d, basis_state(d, 0), v, u), eve_povm
+
+
+def reference_figures(suite: str, seed: int, k: int) -> dict:
+    """Trial k's figures from its reference draws and the public scalar functions."""
+    if suite == "lemma1":
+        (m,), take = reference_trial(suite, seed, k)
+        table = take(2, m)
+        table = table / table.sum()
         return {"slack": fidelity_information_bound(table) - mutual_information(table)}
     if suite == "lemma2":
-        rng = np.random.default_rng(child)
-        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
-        phi0 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
-        phi1 = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
-        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        return {"slack": povm_overlap_slack(phi0, phi1, x, povm_from_factors(per_matrix_factors(rng, m, d)))}
-    attack, eve_povm = sample_theorem_instance(child)
+        (d, m), take = reference_trial(suite, seed, k)
+        phi0, phi1 = complex_normals(take, 2 * d), complex_normals(take, 2 * d)
+        x = complex_normals(take, 2, 2)
+        return {"slack": povm_overlap_slack(phi0, phi1, x, povm_from_factors([complex_normals(take, d, d)
+                                                                             for _ in range(m)]))}
+    attack, eve_povm = reference_instance(seed, k)
     rhs = tradeoff_bound(ctrl_error(attack), sift_branch(attack).p_sift)
     if suite == "theorem":
         info = eve_information(attack, eve_povm)
@@ -154,6 +168,51 @@ def reference_figures(suite: str, child) -> dict:
             "max_equality_residual": max(abs(slacks["s1_z0"]), abs(slacks["s1_z1"]))}
 
 
+def test_the_stream_a_window_slices_is_a_prefix_of_any_longer_one():
+    # so a window that draws the blocks of its first n rows draws what a full window would
+    for draw in ("standard_normal", "random"):
+        for seed in (0, 5, 2**64 + 3):
+            short, full = (getattr(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))), draw)(n)
+                           for n in (777, 5000))
+            assert np.array_equal(short, full[:777])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_theorem_instance_is_the_suites_row_k(seed):
+    trials = 1100
+    children = np.random.SeedSequence(seed).spawn(trials)
+    figures = {suite: _suite_figures(suite, trials, seed) for suite in ("theorem", "proof-chain")}
+    for k in (0, 1023, 1024, trials - 1):
+        attack, eve_povm = sample_theorem_instance(children[k])
+        want_attack, want_povm = reference_instance(seed, k)
+        for field in ("omega", "v", "u"):
+            assert np.array_equal(getattr(attack, field), getattr(want_attack, field)), (k, field)
+        assert np.array_equal(eve_povm.elements, want_povm.elements), k
+        # the suite's figures of row k are those of this instance evaluated alone, bit for bit
+        ev = _evaluate_attack(attack)
+        rhs = tradeoff_bound(ev.p_ctrl, ev.p_sift)
+        for suite, figure in (("theorem", suites._theorem_figures), ("proof-chain", suites._proof_chain_figures)):
+            for name, values in figure(ev, eve_povm.elements[None], rhs).items():
+                assert values[0] == figures[suite][name][k], (suite, k, name)
+
+
+@pytest.mark.parametrize("seed", [np.random.SeedSequence(7), np.random.SeedSequence(7).spawn(3)[2].spawn(2)[1]],
+                         ids=["root", "grandchild"])
+def test_sample_theorem_instance_rejects_a_seed_that_is_not_a_child(seed):
+    with pytest.raises(ValueError, match=r"^sample_theorem_instance takes child k of SeedSequence\(seed\)\.spawn, "
+                                         r"whose spawn_key is \(k,\); got spawn_key \((|2, 1)\)$"):
+        sample_theorem_instance(seed)
+
+
+def test_lemma2_across_three_windows_matches_the_per_child_route():
+    trials, seed = 2100, 6
+    result = run_suite("lemma2", trials, seed)
+    slacks = np.array([reference_figures("lemma2", seed, k)["slack"] for k in range(trials)])
+    worst = int(np.argmin(slacks))
+    assert (result.worst_trial, result.min_slack) == (worst, slacks[worst])
+    assert result.violations == int((slacks < SLACK_TOL).sum())
+
+
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_batched_suite_matches_public_functions(suite, tmp_path, capsys):
     trials, seed = 500, 1
@@ -162,7 +221,7 @@ def test_batched_suite_matches_public_functions(suite, tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out.read_text())
     figures = _suite_figures(suite, trials, seed)
-    reference = [reference_figures(suite, child) for child in np.random.SeedSequence(seed).spawn(trials)]
+    reference = [reference_figures(suite, seed, k) for k in range(trials)]
     for name in reference[0]:
         want = [r[name] for r in reference]
         if name == "step":
@@ -184,63 +243,62 @@ def test_batched_suite_matches_public_functions(suite, tmp_path, capsys):
         assert doc["worst_step"] == reference[worst]["step"]
 
 
-def per_matrix_factors(rng, m, d):
-    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(m)]
+def test_batched_sampler_draws_the_instances_of_sample_theorem_instance(monkeypatch):
+    # every V, U and POVM a theorem window builds is the one its trial draws alone
+    seed, trials = 1, 1100
+    children = np.random.SeedSequence(seed).spawn(trials)
+    built = []
+    for name in ("_attack_stack", "_povm_stack"):
+        helper = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda *args, helper=helper: built.append(helper(*args)) or built[-1])
+    window, groups = suites._window, []
 
+    def recorded(draw, seed, w, n):
+        keys, cum, stream = window(draw, seed, w, n)
+        groups.extend((w, int(d), 1024 * w + rows) for (d,), rows in suites._groups(keys))
+        return keys, cum, stream
 
-def parent_haar_unitary(dim, rng):
-    """Haar unitary drawn as the per-instance sampler always drew it."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
-
-
-def test_batched_sampler_draws_the_instances_of_sample_theorem_instance():
-    children = np.random.SeedSequence(1).spawn(500)
-    draws = [_draw_theorem(child) for child in children]
-    groups = {}
-    for i, (key, _) in enumerate(draws):
-        groups.setdefault(key, []).append(i)
-    assert len(groups) > 10
-    for key, members in groups.items():
-        omega, v, u, elements = _theorem_stack(key, [draws[i][1] for i in members])
-        for k, i in enumerate(members):
-            attack, eve_povm = sample_theorem_instance(children[i])
-            for got, want in ((omega, attack.omega), (v, attack.v), (u, attack.u), (elements, eve_povm.elements)):
-                assert np.array_equal(got[k], want)
-            # the trial's numbers drawn one matrix at a time from its own generator
-            rng = np.random.default_rng(children[i])
-            d = int(rng.integers(2, 5))
-            m = int(rng.integers(2, d * d + 1))
-            assert (d, m) == key
-            assert np.array_equal(v[k], parent_haar_unitary(2 * d, rng))
-            assert np.array_equal(u[k], parent_haar_unitary(2 * d, rng))
-            assert np.array_equal(elements[k], povm_from_factors(per_matrix_factors(rng, m, d)).elements)
-            assert omega[k].tolist() == [1.0] + [0.0] * (d - 1)
+    monkeypatch.setattr(suites, "_window", recorded)
+    _suite_figures("theorem", trials, seed)
+    monkeypatch.undo()
+    built = iter(built)
+    assert len(groups) == 6
+    for w, d, rows in groups:
+        omega, v, u = next(built)
+        instances = [sample_theorem_instance(children[k]) for k in rows]
+        for i, (attack, _) in enumerate(instances):
+            assert attack.ancilla_dim == d
+            for got, want in ((omega, attack.omega), (v, attack.v), (u, attack.u)):
+                assert np.array_equal(got[i], want)
+        # the POVM half runs per outcome count m, rows in trial order
+        for m in sorted({p.outcome_count for _, p in instances}):
+            elements = next(built)
+            want = [p.elements for _, p in instances if p.outcome_count == m]
+            assert np.array_equal(elements, np.stack(want))
+    assert next(built, None) is None
 
 
 def test_lemma2_groups_slice_the_arrays_each_trial_draws(monkeypatch):
-    children = np.random.SeedSequence(3).spawn(300)
-    draws = [_draw_lemma2(child) for child in children]
-    groups = {}
-    for i, (key, _) in enumerate(draws):
-        groups.setdefault(key, []).append(i)
+    seed, trials = 3, 300
+    keys, _, _ = suites._window(SUITES["lemma2"][0], seed, 0, trials)
+    groups = list(suites._groups(keys))
     assert len(groups) == 24
-    for key, members in groups.items():
+    for key, rows in groups:
         seen = []
-        monkeypatch.setattr(suites, "_overlap_slack", lambda *arrays: seen.append(arrays) or np.zeros(len(members)))
-        _lemma2_figures(key, [draws[i][1] for i in members])
+        monkeypatch.setattr(suites, "_overlap_slack", lambda *arrays: seen.append(arrays) or np.zeros(len(rows)))
+        _, cum, stream = suites._window(SUITES["lemma2"][0], seed, 0, trials)
+        suites._lemma2_figures(key, stream, cum, rows)
         phi0, phi1, x, elements = seen[0]
-        for k, i in enumerate(members):
-            # the trial's numbers drawn one array at a time from its own generator
-            rng = np.random.default_rng(children[i])
-            d, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
-            assert (d, m) == key
-            for got in (phi0[k], phi1[k]):
-                assert np.array_equal(got, rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d))
-            assert np.array_equal(x[k], rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            assert np.array_equal(elements[k], povm_from_factors(per_matrix_factors(rng, m, d)).elements)
+        for i, k in enumerate(rows):
+            # the trial's numbers read one array at a time from its block
+            shape, take = reference_trial("lemma2", seed, k)
+            assert shape == key
+            d, m = key
+            for got in (phi0[i], phi1[i]):
+                assert np.array_equal(got, complex_normals(take, 2 * d))
+            assert np.array_equal(x[i], complex_normals(take, 2, 2))
+            assert np.array_equal(elements[i],
+                                  povm_from_factors([complex_normals(take, d, d) for _ in range(m)]).elements)
 
 
 def test_a_trial_draws_the_same_instance_every_time():
@@ -248,41 +306,42 @@ def test_a_trial_draws_the_same_instance_every_time():
         return np.random.SeedSequence(4).spawn(3)[2]
 
     reused = child()
-    key, draw = _draw_theorem(reused)
     instances = [sample_theorem_instance(reused), sample_theorem_instance(reused), sample_theorem_instance(child())]
-    again = _draw_theorem(reused)
-    assert again[0] == key and np.array_equal(again[1], draw)
+    assert reused.n_children_spawned == 0
     for attack, eve_povm in instances:
-        assert (attack.ancilla_dim, eve_povm.outcome_count) == key
         for field in ("omega", "v", "u"):
             assert np.array_equal(getattr(attack, field), getattr(instances[-1][0], field))
         assert np.array_equal(eve_povm.elements, instances[-1][1].elements)
-    lemma2 = [_draw_lemma2(reused), _draw_lemma2(reused), _draw_lemma2(child())]
-    for key, g in lemma2:
-        assert key == lemma2[-1][0]
-        assert np.array_equal(g, lemma2[-1][1])
+    for draw, _, _, _ in SUITES.values():
+        first, again = suites._window(draw, 4, 0, 3), suites._window(draw, 4, 0, 3)
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
 
 
-def test_windows_do_not_change_results(monkeypatch):
-    # 1100 trials end in a partial window whatever its size
-    want = {suite: _suite_figures(suite, 1100, 2) for suite in ("theorem", "proof-chain", "lemma2")}
-    for window in (256, 64, 4):
-        monkeypatch.setattr(suites, "_WINDOW", window)
-        for suite, figures in want.items():
-            got = _suite_figures(suite, 1100, 2)
-            assert got.keys() == figures.keys()
-            for name, values in figures.items():
-                assert np.array_equal(got[name], values), (suite, window, name)
+def test_windows_do_not_change_results():
+    # trial k's figures are the same whatever the number of trials, so
+    # whether its window is whole or partial: 200 and 1100 trials end in
+    # a partial window, 3000 in a partial third one
+    for suite in SUITE_NAMES:
+        want = _suite_figures(suite, 3000, 2)
+        for trials in (200, 1100):
+            got = _suite_figures(suite, trials, 2)
+            assert got.keys() == want.keys()
+            for name, values in want.items():
+                assert np.array_equal(got[name], values[:trials]), (suite, trials, name)
 
 
 def test_each_shape_group_of_a_window_is_one_evaluation(monkeypatch):
     calls = []
 
-    def evaluate(key, draws):
-        calls.append(len(draws))
-        return {"slack": np.ones(len(draws))}
+    def evaluate(key, stream, cum, rows):
+        calls.append(len(rows))
+        return {"slack": np.ones(len(rows))}
 
-    monkeypatch.setitem(SUITES, "stub", (lambda child: ("one", None), evaluate, None, None))
+    def draw(rng, n):
+        return np.zeros((n, 1), dtype=int), np.arange(n + 1), np.zeros(n)
+
+    monkeypatch.setitem(SUITES, "stub", (draw, evaluate, None, None))
     _suite_figures("stub", 1100, 0)
     assert calls == [1024, 76]
 
@@ -298,12 +357,11 @@ def test_each_ancilla_dimension_of_a_window_is_one_attack_evaluation(suite, monk
     evaluate = suites._evaluate
     monkeypatch.setattr(suites, "_evaluate", counted)
     figures = _suite_figures(suite, 1100, 4)
-    # every (window, d) pair of the 1100 draws, d in {2, 3, 4}: at most 6 evaluations
-    children = np.random.SeedSequence(4).spawn(1100)
-    dims = [_draw_theorem(child)[0][0] for child in children]
+    # every (window, d) pair of the 1100 draws, d in {2, 3, 4} in order: at most 6 evaluations
+    dims = [reference_trial("theorem", 4, k)[0][0] for k in range(1100)]
     want = []
     for window in (dims[:1024], dims[1024:]):
-        want += [(window.count(d), d) for d in dict.fromkeys(window)]
+        want += [(window.count(d), d) for d in sorted(set(window))]
     assert calls == want and len(calls) <= 6
     assert len(figures["slack"]) == 1100
 
@@ -328,10 +386,10 @@ def test_a_group_that_fails_only_as_a_group_raises_its_own_error(monkeypatch):
     draw, evaluate, *rest = SUITES["lemma2"]
     error = ValueError("fails only with other trials")
 
-    def together(key, draws):
-        if len(draws) > 1:
+    def together(key, stream, cum, rows):
+        if len(rows) > 1:
             raise error
-        return evaluate(key, draws)
+        return evaluate(key, stream, cum, rows)
 
     monkeypatch.setitem(SUITES, "lemma2", (draw, together, *rest))
     with pytest.raises(ValueError) as raised:
@@ -342,17 +400,23 @@ def test_a_group_that_fails_only_as_a_group_raises_its_own_error(monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_a_failed_group_names_its_first_failing_trial(suite, monkeypatch, capsys):
-    draw, *rest = SUITES[suite]
+    draw = SUITES[suite][0]
+    window = suites._window
     # trial 300, or trial 1050 in the second window, and a later trial of its group draw NaN
     for trials, first in ((400, 300), (1100, 1050)):
-        children = np.random.SeedSequence(3).spawn(trials)
-        later = next(k for k in range(first + 1, trials) if draw(children[k])[0] == draw(children[first])[0])
+        w, n = first // 1024, min(1024, trials - first // 1024 * 1024)
+        keys = window(draw, 3, w, n)[0]
+        row = first % 1024
+        later = 1024 * w + next(r for r in range(row + 1, n) if (keys[r] == keys[row]).all())
 
-        def poisoned(child):
-            key, g = draw(child)
-            return key, (np.full_like(g, np.nan) if child.spawn_key[-1] in (first, later) else g)
+        def poisoned(draw, seed, w, n):
+            keys, cum, stream = window(draw, seed, w, n)
+            for k in (first, later):
+                if k // 1024 == w:
+                    stream[cum[k % 1024]:cum[k % 1024 + 1]] = np.nan
+            return keys, cum, stream
 
-        monkeypatch.setitem(SUITES, suite, (poisoned, *rest))
+        monkeypatch.setattr(suites, "_window", poisoned)
         with pytest.raises(ValueError, match=f"^{suite} trial {first}: "):
             run_suite(suite, trials, 3)
         assert main(["verify", "--suite", suite, "--trials", str(trials), "--seed", "3"]) == 2
